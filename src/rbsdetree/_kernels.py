@@ -1,37 +1,17 @@
-"""Hot numeric kernels with numba fast paths and pure-numpy fallbacks.
-
-Backend selection: the environment variable RBSDE_TREE_BACKEND may be set to
-"numba", "numpy" or "auto" (default).  Under "auto" the numba path is used
-when numba imports cleanly.  Both implementations of each kernel are exported
-so the benchmark suite can compare them directly.
-"""
+"""Hot numeric kernels, vectorized with numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_BACKEND = os.environ.get("RBSDE_TREE_BACKEND", "auto").lower()
-if _BACKEND not in ("auto", "numba", "numpy"):
-    raise ValueError(f"RBSDE_TREE_BACKEND must be auto|numba|numpy, got {_BACKEND}")
+# Kept as a plain constant: perfbench/run.py:269 reads it into its host record.
+USE_NUMBA = False
 
-if _BACKEND == "numpy":
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _BACKEND == "numba":
-            raise
-        HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _BACKEND != "numpy"
+#: Paths drawn per batch in simulate_event_counts; bounds the draw buffer.
+SIMULATION_CHUNK = 256
 
 
-def enumerate_rules_numpy(path_nodes, reward_stop, reward_leaf, probs, n_interior):
+def enumerate_rules(path_nodes, reward_stop, reward_leaf, probs, n_interior):
     """Value of every stopping rule, vectorized over rule bitmasks.
 
     ``path_nodes[p, k]`` is the global interior-node id visited by path p at
@@ -39,6 +19,10 @@ def enumerate_rules_numpy(path_nodes, reward_stop, reward_leaf, probs, n_interio
     node, so larger masks stop earlier in (level, index) order.  Returns the
     (2^n_interior,) array of probability-weighted rule values.
     """
+    path_nodes = np.ascontiguousarray(path_nodes, dtype=np.int64)
+    reward_stop = np.ascontiguousarray(reward_stop, dtype=np.float64)
+    reward_leaf = np.ascontiguousarray(reward_leaf, dtype=np.float64)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
     n_rules = 1 << n_interior
     masks = np.arange(n_rules, dtype=np.uint64)
     values = np.zeros(n_rules)
@@ -53,66 +37,15 @@ def enumerate_rules_numpy(path_nodes, reward_stop, reward_leaf, probs, n_interio
     return values
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def enumerate_rules_numba(path_nodes, reward_stop, reward_leaf, probs, n_interior):
-        n_rules = 1 << n_interior
-        values = np.zeros(n_rules)
-        n_paths, n_levels = path_nodes.shape
-        for mask in range(n_rules):
-            total = 0.0
-            for p in range(n_paths):
-                reward = reward_leaf[p]
-                for k in range(n_levels):
-                    if (mask >> (n_interior - 1 - path_nodes[p, k])) & 1:
-                        reward = reward_stop[p, k]
-                        break
-                total += probs[p] * reward
-            values[mask] = total
-        return values
-
-
-def enumerate_rules(path_nodes, reward_stop, reward_leaf, probs, n_interior):
-    path_nodes = np.ascontiguousarray(path_nodes, dtype=np.int64)
-    reward_stop = np.ascontiguousarray(reward_stop, dtype=np.float64)
-    reward_leaf = np.ascontiguousarray(reward_leaf, dtype=np.float64)
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if USE_NUMBA:
-        return enumerate_rules_numba(path_nodes, reward_stop, reward_leaf, probs, n_interior)
-    return enumerate_rules_numpy(path_nodes, reward_stop, reward_leaf, probs, n_interior)
-
-
-def simulate_event_counts_numpy(p_event, n_paths, seed, chunk=256):
-    """Total event count per simulated path, chunked to bound memory."""
+def simulate_event_counts(p_event, n_paths, seed):
+    """Total event count per simulated path, drawn in fixed-size batches."""
+    p_event = np.ascontiguousarray(p_event, dtype=np.float64)
     rng = np.random.default_rng(seed)
     out = np.empty(n_paths, dtype=np.int64)
     done = 0
     while done < n_paths:
-        size = min(chunk, n_paths - done)
+        size = min(SIMULATION_CHUNK, n_paths - done)
         draws = rng.random((size, len(p_event)))
         out[done:done + size] = (draws < p_event[None, :]).sum(axis=1)
         done += size
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def simulate_event_counts_numba(p_event, n_paths, seed):
-        np.random.seed(seed)
-        out = np.empty(n_paths, dtype=np.int64)
-        for i in range(n_paths):
-            count = 0
-            for k in range(len(p_event)):
-                if np.random.random() < p_event[k]:
-                    count += 1
-            out[i] = count
-        return out
-
-
-def simulate_event_counts(p_event, n_paths, seed):
-    p_event = np.ascontiguousarray(p_event, dtype=np.float64)
-    if USE_NUMBA:
-        return simulate_event_counts_numba(p_event, n_paths, seed)
-    return simulate_event_counts_numpy(p_event, n_paths, seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
 from .picard import picard_solve, select_contraction_parameters
 from .rbsde import (
     GeneratorSpec,
+    LipschitzConstants,
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,
@@ -98,10 +100,23 @@ def _require(raw: dict, key: str, kind=None):
     return val
 
 
+def _require_finite(node, path: str):
+    """Raise ConfigInvalid at the dotted path of any non-finite number."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _require_finite(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            _require_finite(val, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigInvalid(path, f"must be finite, got {node!r}")
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate the parsed YAML mapping into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("<root>", "config must be a mapping")
+    _require_finite(raw, "")
     grid = _require(raw, "grid", dict)
     n_steps = int(_require(grid, "n_steps"))
     horizon = float(_require(grid, "horizon"))
@@ -242,19 +257,9 @@ def _offset_levels(tree: ScenarioTree, coeffs: dict):
 
 def _family_constants(cfg: RunConfig):
     gen = cfg.generator
-    m = len(cfg.mark_labels)
-    fc = gen.get("fc", [1.0] * m)
-    _, _, constants = affine_generators(
-        fa=float(gen.get("fa", 0.0)),
-        fb=float(gen.get("fb", 0.0)),
-        fc=fc,
-        ga=float(gen.get("ga", 0.0)),
-        gz=float(gen.get("gz", 0.0)),
-    )
+    fc = gen.get("fc", [1.0] * len(cfg.mark_labels))
     # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
     # and for the beta guard the conservative max|fc| is the right constant.
-    from .rbsde import LipschitzConstants
-
     return LipschitzConstants(
         l_f=abs(float(gen.get("fa", 0.0))),
         l_u=abs(float(gen.get("fb", 0.0))) * max(abs(float(x)) for x in fc),
@@ -408,6 +413,18 @@ def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
     return checks
 
 
+def _certificate_record(tree, cert) -> dict:
+    """The oracle's value, maximizing rule and size as written to summary.json."""
+    return {
+        "value": cert.value,
+        "rule_nodes": [
+            [k, int(i)] for k in range(tree.n_steps) for i in np.flatnonzero(cert.best_rule.stop[k])
+        ],
+        "n_interior": cert.n_interior,
+        "epsilon": cert.epsilon,
+    }
+
+
 def run_stopping(tree, gen, sol, options: dict) -> dict:
     out = {}
     y0 = float(sol.y[0][0])
@@ -421,24 +438,14 @@ def run_stopping(tree, gen, sol, options: dict) -> dict:
             "push_before_stop": k_flatness_before_stop(tree, sol, rule),
         }
     star = smallest_optimal_time(tree, sol, gen.h)
-    out["first_contact"] = {
-        "reward": reward_of_rule(tree, gen, star),
-        "passed": bool(abs(y0 - reward_of_rule(tree, gen, star)) <= 1e-10),
-    }
+    reward = reward_of_rule(tree, gen, star)
+    out["first_contact"] = {"reward": reward, "passed": bool(abs(y0 - reward) <= 1e-10)}
     if options.get("oracle", False):
         try:
             cert = brute_force_value(tree, gen, keep_table=False)
-            stops = [
-                [k, int(i)]
-                for k in range(tree.n_steps)
-                for i in np.flatnonzero(cert.best_rule.stop[k])
-            ]
             out["oracle"] = {
-                "value": cert.value,
+                **_certificate_record(tree, cert),
                 "gap": y0 - cert.value,
-                "n_interior": cert.n_interior,
-                "rule_nodes": stops,
-                "epsilon": cert.epsilon,
                 "passed": bool(abs(y0 - cert.value) <= 1e-10),
             }
         except EnumerationBudgetExceeded as exc:
@@ -467,30 +474,70 @@ def _collect_verdicts(section, prefix, verdicts):
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
+def _solve(cfg: RunConfig, tree: ScenarioTree, gen: GeneratorSpec):
+    """Solve the configured problem in its mode.
+
+    Returns (solution, the known-generator spec it exactly solves,
+    contraction parameters, Picard trace); the last two are None outside
+    picard mode.  In picard mode the final iterate exactly solves the
+    generators frozen at the previous one, and the distance trace certifies
+    the fixed-point gap.
+    """
+    if cfg.mode == "picard":
+        contraction = select_contraction_parameters(
+            gen.lipschitz,
+            cfg.beta,
+            max_iter=int(cfg.picard.get("max_iter", 40)),
+            tol=float(cfg.picard.get("tol", 1e-9)),
+        )
+        trace = picard_solve(tree, gen, contraction)
+        return trace.solution, trace.frozen_spec, contraction, trace
+    solve = solve_mpp_only if cfg.mode == "mpp-only" else solve_given_generators
+    return solve(tree, gen), gen, None, None
+
+
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     tree, gen = build_problem(cfg)
-    if cfg.mode == "picard":
-        return cmd_picard(cfg, out_dir)
-    sol = solve_mpp_only(tree, gen) if cfg.mode == "mpp-only" else solve_given_generators(tree, gen)
-    checks = run_checks(tree, gen, sol, gen, cfg.beta)
-    stopping = run_stopping(tree, gen, sol, cfg.stopping)
+    sol, frozen, contraction, trace = _solve(cfg, tree, gen)
+    checks = run_checks(tree, gen, sol, frozen, cfg.beta)
+    stopping = run_stopping(tree, frozen, sol, cfg.stopping)
     verdicts = {}
-    _collect_verdicts(checks, "check.", verdicts)
-    _collect_verdicts(stopping, "stopping.", verdicts)
     summary = {
         "config": cfg.echo(),
         "mode": cfg.mode,
         "tree": tree.level_summary(),
         "y0": float(sol.y[0][0]),
-        "checks": checks,
-        "stopping": stopping,
-        "norms": norm_table(tree, sol, cfg.beta, cfg.gamma),
-        "verdicts": verdicts,
-        "all_passed": all(verdicts.values()),
     }
+    if trace is not None:
+        verdicts["picard.converged"] = bool(trace.converged)
+        bound = contraction.alpha + 0.05
+        late = [r for d, r in zip(trace.distances[1:], trace.ratios[1:]) if d > 1e-12]
+        verdicts["picard.contraction_rate"] = all(r <= bound for r in late)
+        summary["contraction"] = {
+            "alpha": contraction.alpha,
+            "beta": contraction.beta,
+            "gamma": contraction.gamma,
+            "rate_bound": bound,
+            "iterations": len(trace.distances),
+            "distances": [float(d) for d in trace.distances],
+        }
+    _collect_verdicts(checks, "check.", verdicts)
+    _collect_verdicts(stopping, "stopping.", verdicts)
+    summary.update(
+        checks=checks,
+        stopping=stopping,
+        norms=norm_table(tree, sol, cfg.beta, cfg.gamma),
+        verdicts=verdicts,
+        all_passed=all(verdicts.values()),
+    )
     write_summary(out_dir, summary)
-    write_solution_csv(out_dir, tree, gen, sol)
-    print(f"Y_0 = {summary['y0']!r}; {sum(verdicts.values())}/{len(verdicts)} checks passed")
+    write_solution_csv(out_dir, tree, frozen, sol)
+    passed = f"{sum(verdicts.values())}/{len(verdicts)} checks passed"
+    if trace is None:
+        print(f"Y_0 = {summary['y0']!r}; {passed}")
+    else:
+        write_trace_csv(out_dir, trace.distances)
+        print(f"Y_0 = {summary['y0']!r} after {len(trace.distances)} iterations; {passed}")
     print(f"artifact written to {out_dir}")
     return 0 if summary["all_passed"] else 1
 
@@ -498,81 +545,21 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.mode != "picard":
         raise ConfigInvalid("mode", "the picard verb needs mode: picard")
-    tree, gen = build_problem(cfg)
-    pic = cfg.picard
-    contraction = select_contraction_parameters(
-        gen.lipschitz,
-        cfg.beta,
-        max_iter=int(pic.get("max_iter", 40)),
-        tol=float(pic.get("tol", 1e-9)),
-    )
-    trace = picard_solve(tree, gen, contraction)
-    sol = trace.solution
-    # The final iterate exactly solves the generators frozen at the previous
-    # one; the distance trace certifies the fixed-point gap.
-    frozen = trace.frozen_spec
-    checks = run_checks(tree, gen, sol, frozen, cfg.beta)
-    stopping = run_stopping(tree, frozen, sol, cfg.stopping)
-    verdicts = {"picard.converged": bool(trace.converged)}
-    ratios = trace.ratios
-    bound = contraction.alpha + 0.05
-    late = [r for d, r in zip(trace.distances[1:], ratios[1:]) if d > 1e-12]
-    verdicts["picard.contraction_rate"] = all(r <= bound for r in late)
-    _collect_verdicts(checks, "check.", verdicts)
-    _collect_verdicts(stopping, "stopping.", verdicts)
-    summary = {
-        "config": cfg.echo(),
-        "mode": cfg.mode,
-        "tree": tree.level_summary(),
-        "y0": float(sol.y[0][0]),
-        "contraction": {
-            "alpha": contraction.alpha,
-            "beta": contraction.beta,
-            "gamma": contraction.gamma,
-            "rate_bound": bound,
-            "iterations": len(trace.distances),
-            "distances": [float(d) for d in trace.distances],
-        },
-        "checks": checks,
-        "stopping": stopping,
-        "norms": norm_table(tree, sol, cfg.beta, cfg.gamma),
-        "verdicts": verdicts,
-        "all_passed": all(verdicts.values()),
-    }
-    write_summary(out_dir, summary)
-    write_solution_csv(out_dir, tree, frozen, sol)
-    write_trace_csv(out_dir, trace.distances)
-    print(
-        f"Y_0 = {summary['y0']!r} after {len(trace.distances)} iterations; "
-        f"{sum(verdicts.values())}/{len(verdicts)} checks passed"
-    )
-    print(f"artifact written to {out_dir}")
-    return 0 if summary["all_passed"] else 1
+    return cmd_solve(cfg, out_dir)
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     tree, gen = build_problem(cfg)
     if not gen.is_given:
         raise ConfigInvalid("mode", "the oracle verb needs a given-generator family")
-    sol = solve_mpp_only(tree, gen) if cfg.mode == "mpp-only" else solve_given_generators(tree, gen)
+    sol = _solve(cfg, tree, gen)[0]
     cert = brute_force_value(tree, gen, keep_table=False)
     y0 = float(sol.y[0][0])
     gap = abs(y0 - cert.value)
-    stops = [
-        [k, int(i)]
-        for k in range(tree.n_steps)
-        for i in np.flatnonzero(cert.best_rule.stop[k])
-    ]
     summary = {
         "config": cfg.echo(),
         "y0": y0,
-        "certificate": {
-            "value": cert.value,
-            "rule_nodes": stops,
-            "n_interior": cert.n_interior,
-            "n_rules": 1 << cert.n_interior,
-            "epsilon": cert.epsilon,
-        },
+        "certificate": {**_certificate_record(tree, cert), "n_rules": 1 << cert.n_interior},
         "gap": gap,
         "all_passed": bool(gap <= 1e-10),
     }
@@ -600,7 +587,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     summary = {
         "config": cfg.echo(),
         "n_paths": n_paths,
-        "backend": "numba" if _kernels.USE_NUMBA else "numpy",
+        "backend": "numpy",
         "mean_count": mean,
         "expected_count": expected,
         "three_sigma": 3 * std,
@@ -621,13 +608,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
     tree, gen = build_problem(cfg)
-    if cfg.mode == "picard":
-        contraction = select_contraction_parameters(gen.lipschitz, cfg.beta)
-        sol = picard_solve(tree, gen, contraction).solution
-    elif cfg.mode == "mpp-only":
-        sol = solve_mpp_only(tree, gen)
-    else:
-        sol = solve_given_generators(tree, gen)
+    sol = _solve(cfg, tree, gen)[0]
     table = norm_table(tree, sol, cfg.beta, cfg.gamma)
     f_levels, _ = gen.given_levels(tree)
     bound = None

@@ -10,8 +10,7 @@ order.  Levels whose compensator increment is zero carry no jump branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +64,6 @@ class ScenarioTree:
     Per-level node state (index k = 0..N):
       w[k]        cumulative Brownian value
       n_jumps[k]  cumulative jump count
-      last_mark[k] mark index of the most recent jump, -1 if none yet
       a[k]        cumulative compensator A(t_k) (scalar per level here,
                   broadcast as needed)
       prob[k]     total path probability of each node
@@ -83,7 +81,6 @@ class ScenarioTree:
     branch_prob: list
     w: list
     n_jumps: list
-    last_mark: list
     prob: list
     a_levels: np.ndarray
 
@@ -112,6 +109,17 @@ class ScenarioTree:
     def repeat_to_children(self, x: np.ndarray, k: int) -> np.ndarray:
         """Broadcast a level-k node array down to its level-k+1 children."""
         return np.repeat(x, self.branching(k), axis=0)
+
+    def path_sum(self, increments) -> list:
+        """Running sum S_0 = 0, S_{k+1} = S_k + increments[k] along every path.
+
+        ``increments`` yields one level-k node array (or scalar) per step; the
+        result is the NodeProcess carrying S_k at every level-k node.
+        """
+        cum = [np.zeros(1)]
+        for k, inc in enumerate(increments):
+            cum.append(self.repeat_to_children(cum[k] + inc, k))
+        return cum
 
     def ancestor_index(self, k: int, level: int) -> np.ndarray:
         """Index of the level-``k`` ancestor of each node at ``level`` >= k."""
@@ -186,16 +194,12 @@ def build_tree(
 
     w = [np.zeros(1)]
     n_jumps = [np.zeros(1, dtype=np.int64)]
-    last_mark = [np.full(1, -1, dtype=np.int64)]
     prob = [np.ones(1)]
     for k in range(grid.n_steps):
         b = branchings[k]
         w.append(np.repeat(w[k], b) + np.tile(branch_dw[k], len(w[k])))
         jumped = branch_mark[k] >= 0
         n_jumps.append(np.repeat(n_jumps[k], b) + np.tile(jumped.astype(np.int64), len(n_jumps[k])))
-        lm = np.tile(branch_mark[k], len(last_mark[k]))
-        keep = np.repeat(last_mark[k], b)
-        last_mark.append(np.where(lm >= 0, lm, keep))
         prob.append(np.repeat(prob[k], b) * np.tile(branch_prob[k], len(prob[k])))
 
     a_levels = np.concatenate([[0.0], np.cumsum(da)])
@@ -212,7 +216,6 @@ def build_tree(
         branch_prob=branch_prob,
         w=w,
         n_jumps=n_jumps,
-        last_mark=last_mark,
         prob=prob,
         a_levels=a_levels,
     )

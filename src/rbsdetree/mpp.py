@@ -8,7 +8,7 @@ most one event, occurring with probability 1 - exp(-dA_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

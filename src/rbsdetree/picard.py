@@ -8,7 +8,7 @@ the Lipschitz thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -107,10 +107,6 @@ def zero_triple(tree: ScenarioTree) -> Triple:
     return Triple(y=y, u=u, z=z)
 
 
-def _as_triple(sol: RbsdeSolution) -> Triple:
-    return Triple(y=sol.y, u=sol.u, z=sol.z)
-
-
 def composite_distance(tree: ScenarioTree, t1: Triple, t2: Triple, cfg: ContractionConfig) -> float:
     """Distance in the composite weighted norm of the contraction argument."""
     lip, b, g = cfg.lipschitz, cfg.beta, cfg.gamma
@@ -163,7 +159,6 @@ def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: Triple) -> Gener
         g_levels=g_levels,
         lipschitz=gen.lipschitz,
         beta=gen.beta,
-        delta=gen.delta,
     )
 
 
@@ -186,7 +181,7 @@ def picard_solve(
     for _ in range(cfg.max_iter):
         frozen = _frozen_spec(tree, gen, point)
         sol = solve_mpp_only(tree, frozen) if jump_only else solve_given_generators(tree, frozen)
-        new_point = _as_triple(sol)
+        new_point = Triple(y=sol.y, u=sol.u, z=sol.z)
         d = composite_distance(tree, point, new_point, cfg)
         distances.append(d)
         point = new_point

@@ -8,20 +8,14 @@ come from the one-step martingale representation of Y_{k+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BetaZero, BrownianBranchesPresent
-from .lattice import (
-    NodeProcess,
-    Representation,
-    ScenarioTree,
-    cexp_level,
-    extract_representation,
-)
-from .snell import SnellDecomposition, doob_meyer, snell_envelope
+from .lattice import NodeProcess, ScenarioTree, cexp_level, extract_representation
+from .snell import doob_meyer, snell_envelope
 
 SKOROHOD_TOL = 1e-12
 
@@ -53,21 +47,10 @@ class GeneratorSpec:
     g_state: Optional[Callable] = None
     lipschitz: LipschitzConstants = LipschitzConstants()
     beta: float = 1.0
-    delta: float = 0.5
 
     @property
     def is_given(self) -> bool:
         return self.f_state is None and self.g_state is None
-
-    @property
-    def left_usce_surrogate(self) -> bool:
-        """Barrier regularity gate for the smallest-optimal-rule guarantee.
-
-        The continuous-time guarantee needs the barrier left upper
-        semicontinuous in expectation; every finite-tree process satisfies
-        the discrete surrogate, so this is identically True here.
-        """
-        return True
 
     def given_levels(self, tree: ScenarioTree):
         """Generator values per level, zero-filled where unspecified."""
@@ -81,6 +64,10 @@ class GeneratorSpec:
             raise ValueError("terminal payoff must be leaf-indexed")
         if len(self.h) != tree.n_steps + 1:
             raise ValueError("barrier must be defined on every level")
+        for name, levels in (("xi", [self.xi]), ("h", self.h),
+                             ("f_levels", self.f_levels), ("g_levels", self.g_levels)):
+            if levels is not None and not all(np.all(np.isfinite(x)) for x in levels):
+                raise ValueError(f"{name} has a non-finite value")
         gap = np.max(self.h[-1] - self.xi)
         if gap > barrier_tol:
             raise ValueError(f"barrier exceeds terminal payoff at a leaf by {gap:.3e}")
@@ -92,8 +79,7 @@ class RbsdeSolution:
 
     ``z`` is None in jump-only mode.  ``dk[k]`` is the push increment decided
     at level k; ``k_cum`` the accumulated push (K_0 = 0).  ``residual[k]`` is
-    the per-node L2 representation residual, ``reps`` the full one-step
-    representations.
+    the per-node L2 representation residual.
     """
 
     y: NodeProcess
@@ -102,26 +88,15 @@ class RbsdeSolution:
     dk: NodeProcess
     k_cum: NodeProcess
     residual: NodeProcess
-    reps: list
 
 
-def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian):
+def _with_integrands(tree, y, dk, k_cum, with_brownian=True) -> RbsdeSolution:
+    """Complete (Y, K) with (U, Z, residual) from the representation of Y."""
     n = tree.n_steps
-    y = [None] * (n + 1)
-    y[n] = np.asarray(xi, dtype=float).copy()
-    u, z, dk, residual, reps = [None] * n, [None] * n, [None] * n, [None] * n, [None] * n
-    for k in range(n - 1, -1, -1):
-        ytil = cexp_level(tree, k, y[k + 1]) + f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k]
-        dk[k] = np.maximum(h[k] - ytil, 0.0)
-        # max (not ytil + dk) so reflected nodes carry Y == h bit-exactly.
-        y[k] = np.maximum(ytil, h[k])
-        rep = extract_representation(tree, k, y[k + 1])
-        u[k], residual[k], reps[k] = rep.u, rep.residual, rep
-        z[k] = rep.z if with_brownian else None
-
-    k_cum = [np.zeros(1)]
+    u, z, residual = [None] * n, [None] * n, [None] * n
     for k in range(n):
-        k_cum.append(tree.repeat_to_children(k_cum[k] + dk[k], k))
+        rep = extract_representation(tree, k, y[k + 1])
+        u[k], z[k], residual[k] = rep.u, rep.z, rep.residual
     return RbsdeSolution(
         y=y,
         u=u,
@@ -129,8 +104,20 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian):
         dk=dk,
         k_cum=k_cum,
         residual=residual,
-        reps=reps,
     )
+
+
+def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian):
+    n = tree.n_steps
+    y = [None] * (n + 1)
+    y[n] = np.asarray(xi, dtype=float).copy()
+    dk = [None] * n
+    for k in range(n - 1, -1, -1):
+        ytil = cexp_level(tree, k, y[k + 1]) + f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k]
+        dk[k] = np.maximum(h[k] - ytil, 0.0)
+        # max (not ytil + dk) so reflected nodes carry Y == h bit-exactly.
+        y[k] = np.maximum(ytil, h[k])
+    return _with_integrands(tree, y, dk, tree.path_sum(dk), with_brownian)
 
 
 def solve_given_generators(tree: ScenarioTree, gen: GeneratorSpec) -> RbsdeSolution:
@@ -153,11 +140,9 @@ def solve_mpp_only(tree: ScenarioTree, gen: GeneratorSpec) -> RbsdeSolution:
 
 def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:
     """Cumulative sum_{j<k} (f_j dA_j + g_j dt_j) along every path."""
-    cum = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        step = f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k]
-        cum.append(tree.repeat_to_children(cum[k] + step, k))
-    return cum
+    return tree.path_sum(
+        f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k] for k in range(tree.n_steps)
+    )
 
 
 def reward_process(tree: ScenarioTree, gen: GeneratorSpec) -> NodeProcess:
@@ -181,17 +166,8 @@ def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
     eta = reward_process(tree, gen)
     envelope = snell_envelope(tree, eta)
     dec = doob_meyer(tree, envelope)
-    n = tree.n_steps
-    y = [envelope[k] - cum[k] for k in range(n + 1)]
-    u, z, residual, reps = [None] * n, [None] * n, [None] * n, [None] * n
-    for k in range(n):
-        rep = extract_representation(tree, k, y[k + 1])
-        u[k], residual[k], reps[k] = rep.u, rep.residual, rep
-        z[k] = rep.z
-    sol = RbsdeSolution(
-        y=y, u=u, z=z, dk=dec.dk, k_cum=dec.k_cum, residual=residual, reps=reps
-    )
-    return sol, dec
+    y = [envelope[k] - cum[k] for k in range(tree.n_steps + 1)]
+    return _with_integrands(tree, y, dec.dk, dec.k_cum), dec
 
 
 @dataclass(frozen=True)
@@ -299,20 +275,13 @@ def a_priori_majorant(
     a = tree.a_levels
     n = tree.n_steps
 
-    f_sq = [np.zeros(1)]
-    g_abs = [np.zeros(1)]
+    has_f = any(bool(np.any(f_levels[k] != 0)) for k in range(n))
+    f_sq = tree.path_sum(np.exp(beta * a[k + 1]) * f_levels[k] ** 2 * tree.da[k] for k in range(n))
+    g_abs = tree.path_sum(
+        np.exp(beta * a[k] / 2) * np.abs(g_levels[k]) * tree.grid.steps[k] for k in range(n)
+    )
     h_max = [np.exp(beta * a[0] / 2) * np.abs(gen.h[0])]
-    has_f = False
     for k in range(n):
-        has_f = has_f or bool(np.any(f_levels[k] != 0))
-        f_sq.append(
-            tree.repeat_to_children(f_sq[k] + np.exp(beta * a[k + 1]) * f_levels[k] ** 2 * tree.da[k], k)
-        )
-        g_abs.append(
-            tree.repeat_to_children(
-                g_abs[k] + np.exp(beta * a[k] / 2) * np.abs(g_levels[k]) * tree.grid.steps[k], k
-            )
-        )
         h_max.append(
             np.maximum(
                 tree.repeat_to_children(h_max[k], k),

@@ -63,9 +63,7 @@ def doob_meyer(tree: ScenarioTree, r: NodeProcess) -> SnellDecomposition:
             )
         dk.append(np.maximum(drift, 0.0))
 
-    k_cum = [np.zeros(1)]
-    for k in range(n):
-        k_cum.append(tree.repeat_to_children(k_cum[k] + dk[k], k))
+    k_cum = tree.path_sum(dk)
     m = [r[k] + k_cum[k] for k in range(n + 1)]
     return SnellDecomposition(r=list(r), m=m, k_cum=k_cum, dk=dk)
 

@@ -90,7 +90,7 @@ class StoppingCertificate:
         return np.flatnonzero(self.all_values >= self.value - tol)
 
 
-def _subtree_layout(tree: ScenarioTree, root_level: int, root_index: int):
+def _subtree_layout(tree: ScenarioTree, root_level: int):
     """Interior-node offsets, strides and leaf slice of a subtree."""
     strides = [1]
     for lvl in range(root_level, tree.n_steps):
@@ -105,7 +105,7 @@ def _subtree_layout(tree: ScenarioTree, root_level: int, root_index: int):
 
 def rule_from_mask(tree: ScenarioTree, mask: int, root_level: int = 0, root_index: int = 0) -> StoppingRule:
     """Materialize an enumeration bitmask (root bit most significant)."""
-    strides, offsets, n_interior = _subtree_layout(tree, root_level, root_index)
+    strides, offsets, n_interior = _subtree_layout(tree, root_level)
     levels = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.n_steps)]
     levels.append(np.ones(tree.n_leaves, dtype=bool))
     for depth, width in enumerate(strides[:-1]):
@@ -133,7 +133,7 @@ def brute_force_value(
     order.  Rewards are relative to the root node (running gains accrued from
     the root on, conditional probabilities given the root).
     """
-    strides, offsets, n_interior = _subtree_layout(tree, root_level, root_index)
+    strides, offsets, n_interior = _subtree_layout(tree, root_level)
     if n_interior > cap:
         raise EnumerationBudgetExceeded(n_interior=n_interior, cap=cap)
 

@@ -85,12 +85,13 @@ def _count(scale: str, small: int) -> int:
 def criterion_oracle_equivalence(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 1)
     worst = 0.0
-    for _ in range(_count(scale, 20)):
+    n = _count(scale, 20)
+    for _ in range(n):
         tree, gen = random_oracle_instance(rng)
         sol = solve_given_generators(tree, gen)
         cert = brute_force_value(tree, gen)
         worst = max(worst, abs(float(sol.y[0][0]) - cert.value))
-    return worst <= 1e-10, f"max |Y_0 - oracle| = {worst:.3e} over 20 instances (tol 1e-10)"
+    return worst <= 1e-10, f"max |Y_0 - oracle| = {worst:.3e} over {n} instances (tol 1e-10)"
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +233,13 @@ def criterion_smallest_optimal(scale: str = "small"):
 def criterion_majorant(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 7)
     n_viol = 0
-    for _ in range(_count(scale, 20)):
+    n = _count(scale, 20)
+    for _ in range(n):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
         for beta in (0.5, 1.0, 2.0):
             n_viol += len(a_priori_majorant(tree, gen, sol, beta=beta, tol=1e-10))
-    return n_viol == 0, f"{n_viol} node-level violations over 20 instances x beta in {{0.5,1,2}}"
+    return n_viol == 0, f"{n_viol} node-level violations over {n} instances x beta in {{0.5,1,2}}"
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,8 @@ def criterion_fixtures(scale: str = "small"):
 def criterion_mpp_only(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 10)
     worst = 0.0
-    for _ in range(_count(scale, 20)):
+    n = _count(scale, 20)
+    for _ in range(n):
         tree, gen = random_given_instance(
             rng, max_steps=4, n_brownian=1, with_jumps=True
         )
@@ -378,7 +381,7 @@ def criterion_mpp_only(scale: str = "small"):
         for k in range(tree.n_steps):
             worst = max(worst, float(np.max(np.abs(a.u[k] - b.u[k]))))
             worst = max(worst, float(np.max(np.abs(a.dk[k] - b.dk[k]))))
-    return worst <= 1e-12, f"max node-wise gap = {worst:.3e} over 20 instances (tol 1e-12)"
+    return worst <= 1e-12, f"max node-wise gap = {worst:.3e} over {n} instances (tol 1e-12)"
 
 
 ALL_CRITERIA = (

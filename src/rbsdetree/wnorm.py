@@ -68,14 +68,9 @@ def cauchy_weight_bound(tree: ScenarioTree, f: NodeProcess, beta: float):
     if beta == 0:
         raise BetaZero("the weighted bound requires beta > 0")
     a = tree.a_levels
-    lin = [np.zeros(1)]
-    wsq = [np.zeros(1)]
-    for k in range(tree.n_steps):
-        fk = np.asarray(f[k], dtype=float)
-        lin.append(tree.repeat_to_children(lin[k] + fk * tree.da[k], k))
-        wsq.append(
-            tree.repeat_to_children(wsq[k] + np.exp(beta * a[k + 1]) * fk**2 * tree.da[k], k)
-        )
+    fs = [np.asarray(f[k], dtype=float) for k in range(tree.n_steps)]
+    lin = tree.path_sum(fs[k] * tree.da[k] for k in range(tree.n_steps))
+    wsq = tree.path_sum(np.exp(beta * a[k + 1]) * fs[k] ** 2 * tree.da[k] for k in range(tree.n_steps))
     assert np.all(lin[-1] ** 2 <= wsq[-1] / beta + 1e-12), "weighted bound broken path-wise"
     lhs = float(np.max(lin[-1] ** 2))
     rhs = float(np.max(wsq[-1])) / beta

@@ -79,3 +79,9 @@ def test_acceptance_suite_runner():
     assert all(r.passed for r in results), report
     with pytest.raises(ValueError):
         verify.run_all("huge")
+
+
+def test_detail_line_reports_instances_run_at_full_scale():
+    result = verify.criterion_mpp_only("full")
+    assert result.passed, result.line
+    assert "over 40 instances" in result.detail

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +166,36 @@ def test_build_problem_shapes():
     assert tree.n_leaves == 2
     assert np.allclose(gen.xi, tree.w[-1])
     assert gen.h[0][0] == 0.5
+
+
+def _exit_and_error(tmp_path, capsys, raw, verb="solve"):
+    path = _write(tmp_path, raw)
+    code = main([verb, "--config", path, "--out", str(tmp_path / "run")])
+    return code, capsys.readouterr().err
+
+
+def test_nan_horizon_exits_2_naming_the_field(tmp_path, capsys):
+    raw = {**BASE, "grid": {"n_steps": 1, "horizon": float("nan")}}
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 2 and "grid.horizon" in err
+
+
+def test_nan_barrier_base_exits_2_without_artifact(tmp_path, capsys):
+    raw = {**BASE, "barrier": {"base": float("nan"), "leaf_slack": 0.0}}
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 2 and "barrier.base" in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_infinite_beta_exits_2_naming_the_field(tmp_path, capsys):
+    code, err = _exit_and_error(tmp_path, capsys, {**BASE, "beta": float("inf")})
+    assert code == 2 and "beta" in err
+
+
+def test_norms_honours_picard_iteration_cap(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "picard_affine.yaml"
+    raw = yaml.safe_load(config.read_text())
+    raw["picard"]["max_iter"] = 2
+    path = _write(tmp_path, raw)
+    for verb in ("solve", "picard", "norms"):
+        assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 1

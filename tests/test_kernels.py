@@ -20,7 +20,7 @@ def test_numpy_enumeration_matches_explicit_loop():
     rng = np.random.default_rng(0)
     args = _toy_enumeration_inputs(rng)
     path_nodes, reward_stop, reward_leaf, probs, n_interior = args
-    values = _kernels.enumerate_rules_numpy(*args)
+    values = _kernels.enumerate_rules(*args)
     assert values.shape == (1 << n_interior,)
     for mask in rng.integers(0, 1 << n_interior, size=20):
         total = 0.0
@@ -34,39 +34,18 @@ def test_numpy_enumeration_matches_explicit_loop():
         assert values[int(mask)] == pytest.approx(total, abs=1e-12)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_enumeration():
-    rng = np.random.default_rng(1)
-    args = _toy_enumeration_inputs(rng)
-    a = _kernels.enumerate_rules_numpy(*args)
-    b = _kernels.enumerate_rules_numba(*args)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_dispatcher_uses_selected_backend():
-    rng = np.random.default_rng(2)
-    args = _toy_enumeration_inputs(rng)
-    values = _kernels.enumerate_rules(*args)
-    assert np.allclose(values, _kernels.enumerate_rules_numpy(*args), atol=1e-12)
-
-
 def test_simulated_counts_mean_three_sigma():
     p = np.array([0.3, 0.5, 0.1, 0.7])
     n = 20000
-    for backend in ("numpy", "numba") if _kernels.HAVE_NUMBA else ("numpy",):
-        counts = (
-            _kernels.simulate_event_counts_numba(p, n, 9)
-            if backend == "numba"
-            else _kernels.simulate_event_counts_numpy(p, n, 9)
-        )
-        assert counts.shape == (n,)
-        assert counts.min() >= 0 and counts.max() <= len(p)
-        sigma = np.sqrt(np.sum(p * (1 - p)) / n)
-        assert abs(counts.mean() - p.sum()) <= 3 * sigma
+    counts = _kernels.simulate_event_counts(p, n, 9)
+    assert counts.shape == (n,)
+    assert counts.min() >= 0 and counts.max() <= len(p)
+    sigma = np.sqrt(np.sum(p * (1 - p)) / n)
+    assert abs(counts.mean() - p.sum()) <= 3 * sigma
 
 
-def test_numpy_simulation_deterministic_and_chunk_invariant():
+def test_simulation_deterministic_for_fixed_seed():
     p = np.array([0.2, 0.4])
-    a = _kernels.simulate_event_counts_numpy(p, 1000, 5, chunk=64)
-    b = _kernels.simulate_event_counts_numpy(p, 1000, 5, chunk=64)
+    a = _kernels.simulate_event_counts(p, 1000, 5)
+    b = _kernels.simulate_event_counts(p, 1000, 5)
     assert np.array_equal(a, b)

@@ -63,15 +63,14 @@ def test_jump_only_tree():
 def test_node_state_tracks_branches():
     tree = make_tree(2, 1.0, ("a", "b"), rate=1.0)
     dt = 0.5
-    # first child block: up-move, no jump, then up-move with mark a, b...
+    # Brownian-major branch order: up-move with no jump, mark a, mark b, then
+    # the same three outcomes after a down-move
+    assert tree.branch_mark[0].tolist() == [-1, 0, 1, -1, 0, 1]
     assert tree.w[1][0] == pytest.approx(np.sqrt(dt))
-    assert tree.n_jumps[1][0] == 0
-    assert tree.last_mark[1][0] == -1
-    assert tree.n_jumps[1][1] == 1 and tree.last_mark[1][1] == 0
-    assert tree.n_jumps[1][2] == 1 and tree.last_mark[1][2] == 1
+    assert tree.n_jumps[1].tolist() == [0, 1, 1, 0, 1, 1]
     assert tree.w[1][3] == pytest.approx(-np.sqrt(dt))
-    # last_mark persists through no-jump steps
-    assert tree.last_mark[2][6 * 1 + 0] == 0
+    # jump counts accumulate through the child block of a jumped node
+    assert tree.n_jumps[2][6 * 1:6 * 2].tolist() == [1, 2, 2, 1, 2, 2]
 
 
 def test_tower_property():

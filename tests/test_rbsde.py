@@ -175,3 +175,19 @@ def test_majorant_beta_zero_without_f():
     tree, gen = fixture_reflected_binomial()
     sol = solve_given_generators(tree, gen)
     assert a_priori_majorant(tree, gen, sol, beta=0.0) == []
+
+
+@pytest.mark.parametrize("field", ["xi", "h", "f_levels", "g_levels"])
+def test_validate_rejects_non_finite_data(field):
+    tree = make_tree(2, 1.0, ("a",), rate=0.5)
+    xi = tree.w[-1].copy()
+    data = {
+        "xi": xi,
+        "h": [np.full(tree.level_size(k), -10.0) for k in range(tree.n_steps + 1)],
+        "f_levels": [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)],
+        "g_levels": [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)],
+    }
+    target = data[field] if field == "xi" else data[field][0]
+    target[0] = np.nan
+    with pytest.raises(ValueError, match=field):
+        solve_given_generators(tree, GeneratorSpec(**data))
