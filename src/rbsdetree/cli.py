@@ -112,14 +112,32 @@ def _require_finite(node, path: str):
         raise ConfigInvalid(path, f"must be finite, got {node!r}")
 
 
+def _number(value, path: str, kind=float):
+    """``kind(value)``; ConfigInvalid at ``path`` if it fails or is not finite."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid(path, f"expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigInvalid(path, f"must be finite, got {value!r}")
+    return out
+
+
+def _numbers(values, path: str, length: int) -> list:
+    """A list of ``length`` finite floats, each read by ``_number``."""
+    if not isinstance(values, list) or len(values) != length:
+        raise ConfigInvalid(path, f"need a list of {length} numbers")
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(values)]
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate the parsed YAML mapping into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("<root>", "config must be a mapping")
     _require_finite(raw, "")
     grid = _require(raw, "grid", dict)
-    n_steps = int(_require(grid, "n_steps"))
-    horizon = float(_require(grid, "horizon"))
+    n_steps = _number(_require(grid, "n_steps"), "grid.n_steps", int)
+    horizon = _number(_require(grid, "horizon"), "grid.horizon")
     if n_steps < 1:
         raise ConfigInvalid("grid.n_steps", "must be >= 1")
     if horizon <= 0:
@@ -132,7 +150,7 @@ def parse_config(raw: dict) -> RunConfig:
     comp = dict(_require(raw, "compensator", dict))
     ctype = comp.get("type", "linear")
     if ctype == "linear":
-        if float(comp.get("rate", -1.0)) < 0:
+        if _number(comp.get("rate", -1.0), "compensator.rate") < 0:
             raise ConfigInvalid("compensator.rate", "linear compensator needs rate >= 0")
     elif ctype == "piecewise":
         for key in ("breakpoints", "values", "phi_rows"):
@@ -170,12 +188,12 @@ def parse_config(raw: dict) -> RunConfig:
         terminal=dict(raw.get("terminal", {}) or {}),
         barrier=dict(raw.get("barrier", {}) or {}),
         generator=gen,
-        beta=float(raw.get("beta", 1.0)),
-        gamma=float(raw.get("gamma", 0.0)),
+        beta=_number(raw.get("beta", 1.0), "beta"),
+        gamma=_number(raw.get("gamma", 0.0), "gamma"),
         stopping=dict(raw.get("stopping", {}) or {}),
         picard=dict(raw.get("picard", {}) or {}),
         simulate=dict(raw.get("simulate", {}) or {}),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), "seed", int),
         out=raw.get("out"),
     )
     if cfg.mode == "picard":
@@ -204,10 +222,8 @@ def _compensator_spec(cfg: RunConfig) -> CompensatorSpec:
     comp = cfg.compensator
     m = len(cfg.mark_labels)
     if comp.get("type", "linear") == "linear":
-        phi = comp.get("phi", [1.0 / m] * m)
-        if len(phi) != m:
-            raise ConfigInvalid("compensator.phi", f"need {m} kernel weights")
-        return CompensatorSpec.linear(float(comp["rate"]), phi)
+        phi = _numbers(comp.get("phi", [1.0 / m] * m), "compensator.phi", m)
+        return CompensatorSpec.linear(_number(comp["rate"], "compensator.rate"), phi)
     return CompensatorSpec.piecewise(comp["breakpoints"], comp["values"], comp["phi_rows"])
 
 
@@ -220,31 +236,31 @@ def build_problem(cfg: RunConfig):
         marks,
         _compensator_spec(cfg),
         n_brownian=1 if cfg.brownian == "none" else 2,
-        budget=int(cfg.generator.get("budget", DEFAULT_NODE_BUDGET)),
+        budget=_number(cfg.generator.get("budget", DEFAULT_NODE_BUDGET), "generator.budget", int),
     )
     term = cfg.terminal
     xi = terminal_payoff(
         tree,
-        const=float(term.get("const", 0.0)),
-        w=float(term.get("w", 0.0)),
-        n=float(term.get("n", 0.0)),
-        wn=float(term.get("wn", 0.0)),
+        **{key: _number(term.get(key, 0.0), f"terminal.{key}") for key in ("const", "w", "n", "wn")},
     )
     bar = cfg.barrier
+    base = bar.get("base", -1e6)
     h = linear_barrier(
         tree,
-        base=bar.get("base", -1e6),
-        w=float(bar.get("w", 0.0)),
-        n=float(bar.get("n", 0.0)),
-        leaf_slack=float(bar.get("leaf_slack", 0.0)),
+        base=(
+            _numbers(base, "barrier.base", cfg.n_steps + 1)
+            if isinstance(base, list)
+            else _number(base, "barrier.base")
+        ),
+        **{key: _number(bar.get(key, 0.0), f"barrier.{key}") for key in ("w", "n", "leaf_slack")},
         xi=xi,
     )
     gen = _build_generator(cfg, tree, xi, h)
     return tree, gen
 
 
-def _offset_levels(tree: ScenarioTree, coeffs: dict):
-    c = {k: float(coeffs.get(k, 0.0)) for k in ("const", "tanh_w", "n", "t")}
+def _offset_levels(tree: ScenarioTree, coeffs: dict, path: str):
+    c = {k: _number(coeffs.get(k, 0.0), f"{path}.{k}") for k in ("const", "tanh_w", "n", "t")}
     return [
         c["const"]
         + c["tanh_w"] * np.tanh(tree.w[k])
@@ -255,37 +271,40 @@ def _offset_levels(tree: ScenarioTree, coeffs: dict):
     ]
 
 
-def _family_constants(cfg: RunConfig):
+def _affine_coefficients(cfg: RunConfig) -> dict:
+    """The affine family's fa, fb, fc, ga and gz, each read by ``_number``."""
     gen = cfg.generator
-    fc = gen.get("fc", [1.0] * len(cfg.mark_labels))
+    m = len(cfg.mark_labels)
+    coeffs = {key: _number(gen.get(key, 0.0), f"generator.{key}") for key in ("fa", "fb", "ga", "gz")}
+    coeffs["fc"] = _numbers(gen.get("fc", [1.0] * m), "generator.fc", m)
+    return coeffs
+
+
+def _family_constants(cfg: RunConfig):
+    c = _affine_coefficients(cfg)
     # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
     # and for the beta guard the conservative max|fc| is the right constant.
     return LipschitzConstants(
-        l_f=abs(float(gen.get("fa", 0.0))),
-        l_u=abs(float(gen.get("fb", 0.0))) * max(abs(float(x)) for x in fc),
-        l_g=abs(float(gen.get("ga", 0.0))),
-        l_z=abs(float(gen.get("gz", 0.0))),
+        l_f=abs(c["fa"]),
+        l_u=abs(c["fb"]) * max(abs(x) for x in c["fc"]),
+        l_g=abs(c["ga"]),
+        l_z=abs(c["gz"]),
     )
 
 
 def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h) -> GeneratorSpec:
     gen = cfg.generator
     family = gen.get("family", "given")
-    f_off = _offset_levels(tree, gen.get("f", {}) or {})
-    g_off = _offset_levels(tree, gen.get("g", {}) or {})
+    f_off = _offset_levels(tree, gen.get("f", {}) or {}, "generator.f")
+    g_off = _offset_levels(tree, gen.get("g", {}) or {}, "generator.g")
     if family == "given":
         g_levels = None if cfg.brownian == "none" else g_off
         return GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels, beta=cfg.beta)
-    m = len(cfg.mark_labels)
     f_state, g_state, constants = affine_generators(
-        fa=float(gen.get("fa", 0.0)),
-        fb=float(gen.get("fb", 0.0)),
-        fc=gen.get("fc", [1.0] * m),
-        ga=float(gen.get("ga", 0.0)),
-        gz=float(gen.get("gz", 0.0)),
+        **_affine_coefficients(cfg),
         f_offset=lambda t, k: f_off[k],
         g_offset=lambda t, k: g_off[k],
-        clip=float(gen["clip"]) if family == "clipped-affine" else None,
+        clip=_number(gen["clip"], "generator.clip") if family == "clipped-affine" else None,
     )
     return GeneratorSpec(
         xi=xi,
@@ -319,39 +338,70 @@ def write_summary(out_dir: Path, summary: dict):
     return path
 
 
+CSV_CHUNK_ROWS = 1 << 14
+
+
+def _float_text(values) -> list:
+    """``repr(float(x))`` of every entry, calling ``repr`` once per distinct value.
+
+    Entries are told apart by their bit pattern, so -0.0 and 0.0 keep their
+    own text; a tree repeats its values, so there are few distinct ones.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, sol):
+    """One row per node, level by level; every float field is its exact repr.
+
+    Rows are built column by column in chunks of ``CSV_CHUNK_ROWS`` and end
+    in ``\\r\\n`` as ``csv.writer`` ends them; only the header, which holds
+    the user's mark labels, goes through ``csv.writer`` for quoting.  All
+    float columns of a chunk go through one ``_float_text`` call, because on
+    small trees numpy's per-call cost outweighs the formatting.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "solution.csv"
     mark_cols = [f"u_{label}" for label in tree.marks.labels]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             ["level", "node", "t", "w", "n_jumps", "y", "h", "z", *mark_cols, "dk", "k_cum", "residual"]
         )
         for k in range(tree.n_steps + 1):
-            t = tree.grid.times[k]
+            t = repr(float(tree.grid.times[k]))
             interior = k < tree.n_steps
-            for i in range(tree.level_size(k)):
-                row = [
-                    k,
-                    i,
-                    repr(float(t)),
-                    repr(float(tree.w[k][i])),
-                    int(tree.n_jumps[k][i]),
-                    repr(float(sol.y[k][i])),
-                    repr(float(gen.h[k][i])),
+            n_k = tree.level_size(k)
+            for lo in range(0, n_k, CSV_CHUNK_ROWS):
+                rows = slice(lo, min(lo + CSV_CHUNK_ROWS, n_k))
+                n = rows.stop - lo
+                floats = [tree.w[k][rows], sol.y[k][rows], gen.h[k][rows]]
+                if interior:
+                    floats.append(np.zeros(n) if sol.z is None else sol.z[k][rows])
+                    floats.extend(sol.u[k][rows].T)
+                    floats.extend(x[k][rows] for x in (sol.dk, sol.k_cum, sol.residual))
+                else:
+                    floats.append(sol.k_cum[k][rows])
+                text = _float_text(np.concatenate(floats))
+                w, y, h, *rest = (text[j * n:(j + 1) * n] for j in range(len(floats)))
+                cols = [
+                    [str(k)] * n,
+                    map(str, range(rows.start, rows.stop)),
+                    [t] * n,
+                    w,
+                    map(str, tree.n_jumps[k][rows].tolist()),
+                    y,
+                    h,
                 ]
                 if interior:
-                    z = sol.z[k][i] if sol.z is not None else 0.0
-                    row.append(repr(float(z)))
-                    row.extend(repr(float(v)) for v in sol.u[k][i])
-                    row.append(repr(float(sol.dk[k][i])))
-                    row.append(repr(float(sol.k_cum[k][i])))
-                    row.append(repr(float(sol.residual[k][i])))
+                    cols.extend(rest)
                 else:
-                    row.extend([""] * (len(mark_cols) + 1))
-                    row.extend(["", repr(float(sol.k_cum[k][i])), ""])
-                writer.writerow(row)
+                    empty = [""] * n
+                    cols.extend([empty] * (len(mark_cols) + 2))
+                    cols.extend([*rest, empty])
+                fh.write("\r\n".join(map(",".join, zip(*cols))))
+                fh.write("\r\n")
     return path
 
 
@@ -428,13 +478,14 @@ def _certificate_record(tree, cert) -> dict:
 def run_stopping(tree, gen, sol, options: dict) -> dict:
     out = {}
     y0 = float(sol.y[0][0])
-    for eps in options.get("epsilons", []):
-        rule = epsilon_optimal_time(tree, sol, gen.h, float(eps))
+    for i, eps in enumerate(options.get("epsilons", [])):
+        tol = _number(eps, f"stopping.epsilons[{i}]")
+        rule = epsilon_optimal_time(tree, sol, gen.h, tol)
         reward = reward_of_rule(tree, gen, rule)
         out[f"epsilon_{eps}"] = {
             "reward": reward,
             "gap": y0 - reward,
-            "passed": bool(y0 <= reward + float(eps) + 1e-12),
+            "passed": bool(y0 <= reward + tol + 1e-12),
             "push_before_stop": k_flatness_before_stop(tree, sol, rule),
         }
     star = smallest_optimal_time(tree, sol, gen.h)
@@ -487,8 +538,8 @@ def _solve(cfg: RunConfig, tree: ScenarioTree, gen: GeneratorSpec):
         contraction = select_contraction_parameters(
             gen.lipschitz,
             cfg.beta,
-            max_iter=int(cfg.picard.get("max_iter", 40)),
-            tol=float(cfg.picard.get("tol", 1e-9)),
+            max_iter=_number(cfg.picard.get("max_iter", 40), "picard.max_iter", int),
+            tol=_number(cfg.picard.get("tol", 1e-9), "picard.tol"),
         )
         trace = picard_solve(tree, gen, contraction)
         return trace.solution, trace.frozen_spec, contraction, trace
@@ -572,7 +623,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     marks = MarkSet(cfg.mark_labels)
     grid = TimeGrid.uniform(cfg.n_steps, cfg.horizon)
     spec = _compensator_spec(cfg)
-    n_paths = int(cfg.simulate.get("n_paths", 10_000))
+    n_paths = _number(cfg.simulate.get("n_paths", 10_000), "simulate.n_paths", int)
     da = spec.increments(grid.times)
     p_event = -np.expm1(-da)
     counts = _kernels.simulate_event_counts(p_event, n_paths, cfg.seed)
@@ -608,9 +659,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
     tree, gen = build_problem(cfg)
-    sol = _solve(cfg, tree, gen)[0]
+    sol, frozen, _, _ = _solve(cfg, tree, gen)
     table = norm_table(tree, sol, cfg.beta, cfg.gamma)
-    f_levels, _ = gen.given_levels(tree)
+    # In picard mode ``gen`` is state-dependent and its given levels are zero;
+    # the frozen spec carries the f that the final iterate solves with.
+    f_levels, _ = frozen.given_levels(tree)
     bound = None
     if cfg.beta > 0:
         lhs, rhs = cauchy_weight_bound(tree, f_levels, cfg.beta)

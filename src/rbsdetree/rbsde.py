@@ -148,8 +148,12 @@ def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:
 def reward_process(tree: ScenarioTree, gen: GeneratorSpec) -> NodeProcess:
     """The stopped-reward process: running gains plus barrier, payoff at T."""
     f_levels, g_levels = gen.given_levels(tree)
-    cum = running_gains(tree, f_levels, g_levels)
-    eta = [cum[k] + gen.h[k] for k in range(tree.n_steps)]
+    return _stopped_reward(gen, running_gains(tree, f_levels, g_levels))
+
+
+def _stopped_reward(gen: GeneratorSpec, cum: NodeProcess) -> NodeProcess:
+    """Running gains ``cum`` plus the barrier before T and the payoff at T."""
+    eta = [cum[k] + gen.h[k] for k in range(len(cum) - 1)]
     eta.append(cum[-1] + gen.xi)
     return eta
 
@@ -163,8 +167,7 @@ def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
     gen.validate(tree)
     f_levels, g_levels = gen.given_levels(tree)
     cum = running_gains(tree, f_levels, g_levels)
-    eta = reward_process(tree, gen)
-    envelope = snell_envelope(tree, eta)
+    envelope = snell_envelope(tree, _stopped_reward(gen, cum))
     dec = doob_meyer(tree, envelope)
     y = [envelope[k] - cum[k] for k in range(tree.n_steps + 1)]
     return _with_integrands(tree, y, dec.dk, dec.k_cum), dec

@@ -1,0 +1,159 @@
+"""solution.csv is byte-equal to the one-row-at-a-time writer it replaced."""
+
+import csv
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rbsdetree import cli
+from rbsdetree.cli import _float_text, build_problem, parse_config, write_solution_csv
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+def reference_solution_csv(path: Path, tree, gen, sol):
+    """The node-by-node writer: every row through csv.writer, repr per cell."""
+    mark_cols = [f"u_{label}" for label in tree.marks.labels]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["level", "node", "t", "w", "n_jumps", "y", "h", "z", *mark_cols, "dk", "k_cum", "residual"]
+        )
+        for k in range(tree.n_steps + 1):
+            t = tree.grid.times[k]
+            interior = k < tree.n_steps
+            for i in range(tree.level_size(k)):
+                row = [
+                    k,
+                    i,
+                    repr(float(t)),
+                    repr(float(tree.w[k][i])),
+                    int(tree.n_jumps[k][i]),
+                    repr(float(sol.y[k][i])),
+                    repr(float(gen.h[k][i])),
+                ]
+                if interior:
+                    z = sol.z[k][i] if sol.z is not None else 0.0
+                    row.append(repr(float(z)))
+                    row.extend(repr(float(v)) for v in sol.u[k][i])
+                    row.append(repr(float(sol.dk[k][i])))
+                    row.append(repr(float(sol.k_cum[k][i])))
+                    row.append(repr(float(sol.residual[k][i])))
+                else:
+                    row.extend([""] * (len(mark_cols) + 1))
+                    row.extend(["", repr(float(sol.k_cum[k][i])), ""])
+                writer.writerow(row)
+
+
+def _both_writers(raw: dict):
+    """(new bytes, reference bytes, solution) for the solve of ``raw``."""
+    cfg = parse_config(raw)
+    tree, gen = build_problem(cfg)
+    sol, frozen = cli._solve(cfg, tree, gen)[:2]
+    with tempfile.TemporaryDirectory() as tmp:
+        new = write_solution_csv(Path(tmp) / "new", tree, frozen, sol).read_bytes()
+        ref = Path(tmp) / "reference.csv"
+        reference_solution_csv(ref, tree, frozen, sol)
+        return new, ref.read_bytes(), sol
+
+
+coefficient = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def configs(draw, mode):
+    """A 1-3 step config in ``mode`` with drawn payoff, barrier and generator."""
+    brownian = "none" if mode == "mpp-only" else draw(st.sampled_from(["binomial", "none"]))
+    marks = ["e1", "e2"][: draw(st.integers(1, 2))]
+    generator = {
+        "family": "given" if mode != "picard" else "affine",
+        "f": {"const": draw(coefficient), "tanh_w": draw(coefficient), "n": draw(coefficient)},
+        "g": {"const": draw(coefficient), "t": draw(coefficient)},
+    }
+    if mode == "picard":
+        generator.update(fa=draw(st.floats(0.0, 0.2)), fb=draw(st.floats(0.0, 0.3)),
+                         ga=draw(st.floats(0.0, 0.2)), gz=draw(st.floats(0.0, 0.2)))
+    return {
+        "grid": {"n_steps": draw(st.integers(1, 3)), "horizon": 1.0},
+        "marks": marks,
+        "compensator": {"type": "linear", "rate": draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))},
+        "brownian": brownian,
+        "mode": mode,
+        "terminal": {key: draw(coefficient) for key in ("const", "w", "n", "wn")},
+        "barrier": {"base": draw(coefficient), "w": draw(coefficient), "leaf_slack": draw(st.floats(0.0, 0.5))},
+        "generator": generator,
+        "beta": 1.2,
+    }
+
+
+@SETTINGS
+@given(raw=configs("given"), chunk=st.integers(1, 40))
+def test_given_mode_matches_reference_writer(raw, chunk):
+    saved = cli.CSV_CHUNK_ROWS
+    cli.CSV_CHUNK_ROWS = chunk
+    try:
+        new, ref, _ = _both_writers(raw)
+    finally:
+        cli.CSV_CHUNK_ROWS = saved
+    assert new == ref
+
+
+@SETTINGS
+@given(raw=configs("picard"))
+def test_picard_mode_matches_reference_writer(raw):
+    new, ref, _ = _both_writers(raw)
+    assert new == ref
+
+
+@SETTINGS
+@given(raw=configs("mpp-only"))
+def test_mpp_only_mode_matches_reference_writer(raw):
+    new, ref, sol = _both_writers(raw)
+    assert sol.z is None
+    assert new == ref
+
+
+def test_mark_label_with_comma_is_quoted_in_header():
+    raw = {
+        "grid": {"n_steps": 2, "horizon": 1.0},
+        "marks": ["a,b", "c"],
+        "compensator": {"type": "linear", "rate": 0.7},
+        "terminal": {"w": 1.0, "n": 0.5},
+        "barrier": {"base": 0.2},
+    }
+    new, ref, _ = _both_writers(raw)
+    assert new.split(b"\r\n")[0].endswith(b',z,"u_a,b",u_c,dk,k_cum,residual')
+    assert new == ref
+
+
+def test_leaf_level_larger_than_one_chunk():
+    raw = {
+        "grid": {"n_steps": 8, "horizon": 1.0},
+        "marks": ["e1"],
+        "compensator": {"type": "linear", "rate": 0.9},
+        "terminal": {"w": 1.0, "n": -0.3},
+        "barrier": {"base": 0.1, "w": 0.2, "leaf_slack": 0.1},
+        "generator": {"f": {"const": 0.3, "tanh_w": -0.2}},
+    }
+    new, ref, sol = _both_writers(raw)
+    assert len(sol.y[-1]) > cli.CSV_CHUNK_ROWS
+    assert new == ref
+
+
+SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-05, 1e16, 0.1, 123456789.0]
+
+
+def test_float_text_is_repr_of_each_special_value():
+    values = np.array(SPECIAL + SPECIAL[::-1])
+    assert _float_text(values) == [repr(float(x)) for x in values]
+
+
+def test_float_text_is_repr_on_an_all_distinct_column():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=5000) * 10.0 ** rng.integers(-300, 300, size=5000)
+    assert len(np.unique(values)) == len(values)
+    assert _float_text(values) == [repr(float(x)) for x in values]
+    assert _float_text(values[::3]) == [repr(float(x)) for x in values[::3]]

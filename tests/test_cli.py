@@ -199,3 +199,27 @@ def test_norms_honours_picard_iteration_cap(tmp_path):
     path = _write(tmp_path, raw)
     for verb in ("solve", "picard", "norms"):
         assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 1
+
+
+@pytest.mark.parametrize(
+    "section, key, value, fieldname",
+    [
+        ("grid", "horizon", "abc", "grid.horizon"),
+        ("grid", "horizon", "nan", "grid.horizon"),
+        ("grid", "n_steps", "many", "grid.n_steps"),
+        ("barrier", "base", "abc", "barrier.base"),
+    ],
+)
+def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, key, value, fieldname):
+    raw = {**BASE, section: {**BASE[section], key: value}}
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 2 and fieldname in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_picard_norms_weight_bound_checks_the_frozen_f(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "picard_affine.yaml"
+    out = tmp_path / "norms"
+    assert main(["norms", "--config", str(config), "--out", str(out)]) == 0
+    bound = json.loads((out / "summary.json").read_text())["cauchy_weight_bound"]
+    assert 0.0 < bound["lhs"] <= bound["rhs"]
