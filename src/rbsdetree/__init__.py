@@ -29,7 +29,7 @@ from .lattice import (
     conditional_expectation,
     constant_process,
     extract_representation,
-    leaf_expectation,
+    level_expectation,
     process_from_state,
 )
 from .mpp import (

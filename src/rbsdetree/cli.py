@@ -91,13 +91,20 @@ class RunConfig:
         }
 
 
-def _require(raw: dict, key: str, kind=None):
+def _require(raw: dict, key: str, kind=None, section: str = ""):
+    """``raw[key]``; ConfigInvalid at ``section.key`` if missing or not a ``kind``."""
+    path = f"{section}.{key}" if section else key
     if key not in raw:
-        raise ConfigInvalid(key, "missing required field")
+        raise ConfigInvalid(path, "missing required field")
     val = raw[key]
     if kind is not None and not isinstance(val, kind):
-        raise ConfigInvalid(key, f"expected {kind.__name__}, got {type(val).__name__}")
+        raise ConfigInvalid(path, f"expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _mapping(raw: dict, key: str, section: str = "") -> dict:
+    """The optional mapping at ``key``: {} when absent or null."""
+    return {} if raw.get(key) is None else dict(_require(raw, key, dict, section))
 
 
 def _require_finite(node, path: str):
@@ -123,11 +130,19 @@ def _number(value, path: str, kind=float):
     return out
 
 
-def _numbers(values, path: str, length: int) -> list:
-    """A list of ``length`` finite floats, each read by ``_number``."""
-    if not isinstance(values, list) or len(values) != length:
-        raise ConfigInvalid(path, f"need a list of {length} numbers")
+def _numbers(values, path: str, length: Optional[int] = None) -> list:
+    """A list of finite floats, ``length`` of them if given, each read by ``_number``."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise ConfigInvalid(path, f"need a list of {length or 'finite'} numbers")
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(values)]
+
+
+def _at_least(value, path: str, low, kind=float):
+    """``_number(value, path, kind)``, which must be >= ``low``."""
+    out = _number(value, path, kind)
+    if out < low:
+        raise ConfigInvalid(path, f"must be >= {low}, got {value!r}")
+    return out
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -143,8 +158,8 @@ def parse_config(raw: dict) -> RunConfig:
     if horizon <= 0:
         raise ConfigInvalid("grid.horizon", "must be > 0")
 
-    marks = _require(raw, "marks", list)
-    if not marks or len(set(marks)) != len(marks):
+    labels = tuple(str(x) for x in _require(raw, "marks", list))
+    if not labels or len(set(labels)) != len(labels):
         raise ConfigInvalid("marks", "need at least one distinct label")
 
     comp = dict(_require(raw, "compensator", dict))
@@ -154,7 +169,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigInvalid("compensator.rate", "linear compensator needs rate >= 0")
     elif ctype == "piecewise":
         for key in ("breakpoints", "values", "phi_rows"):
-            _require(comp, key, list)
+            _require(comp, key, list, "compensator")
     else:
         raise ConfigInvalid("compensator.type", f"unknown type {ctype!r}")
 
@@ -167,7 +182,9 @@ def parse_config(raw: dict) -> RunConfig:
     if mode == "mpp-only" and brownian != "none":
         raise ConfigInvalid("mode", "mpp-only requires brownian: none")
 
-    gen = dict(raw.get("generator", {}) or {})
+    gen = _mapping(raw, "generator")
+    for key in ("f", "g"):
+        _mapping(gen, key, "generator")
     family = gen.get("family", "given")
     if family not in FAMILIES:
         raise ConfigInvalid("generator.family", f"must be one of {FAMILIES}")
@@ -178,22 +195,32 @@ def parse_config(raw: dict) -> RunConfig:
     if family == "clipped-affine" and "clip" not in gen:
         raise ConfigInvalid("generator.clip", "clipped-affine family needs a clip bound")
 
+    stopping = _mapping(raw, "stopping")
+    for i, eps in enumerate(_numbers(stopping.get("epsilons", []), "stopping.epsilons")):
+        _at_least(eps, f"stopping.epsilons[{i}]", 0.0)
+    picard = _mapping(raw, "picard")
+    _at_least(picard.get("max_iter", 40), "picard.max_iter", 1, int)
+    if _number(picard.get("tol", 1e-9), "picard.tol") <= 0:
+        raise ConfigInvalid("picard.tol", "must be > 0")
+    simulate = _mapping(raw, "simulate")
+    _at_least(simulate.get("n_paths", 10_000), "simulate.n_paths", 1, int)
+
     cfg = RunConfig(
         n_steps=n_steps,
         horizon=horizon,
-        mark_labels=tuple(str(x) for x in marks),
+        mark_labels=labels,
         compensator=comp,
         brownian=brownian,
         mode=mode,
-        terminal=dict(raw.get("terminal", {}) or {}),
-        barrier=dict(raw.get("barrier", {}) or {}),
+        terminal=_mapping(raw, "terminal"),
+        barrier=_mapping(raw, "barrier"),
         generator=gen,
-        beta=_number(raw.get("beta", 1.0), "beta"),
-        gamma=_number(raw.get("gamma", 0.0), "gamma"),
-        stopping=dict(raw.get("stopping", {}) or {}),
-        picard=dict(raw.get("picard", {}) or {}),
-        simulate=dict(raw.get("simulate", {}) or {}),
-        seed=_number(raw.get("seed", 0), "seed", int),
+        beta=_at_least(raw.get("beta", 1.0), "beta", 0.0),
+        gamma=_at_least(raw.get("gamma", 0.0), "gamma", 0.0),
+        stopping=stopping,
+        picard=picard,
+        simulate=simulate,
+        seed=_at_least(raw.get("seed", 0), "seed", 0, int),
         out=raw.get("out"),
     )
     if cfg.mode == "picard":
@@ -219,12 +246,32 @@ def load_config(path) -> RunConfig:
 
 
 def _compensator_spec(cfg: RunConfig) -> CompensatorSpec:
+    """The configured compensator; ConfigInvalid at the field it rejects."""
     comp = cfg.compensator
     m = len(cfg.mark_labels)
     if comp.get("type", "linear") == "linear":
         phi = _numbers(comp.get("phi", [1.0 / m] * m), "compensator.phi", m)
-        return CompensatorSpec.linear(_number(comp["rate"], "compensator.rate"), phi)
-    return CompensatorSpec.piecewise(comp["breakpoints"], comp["values"], comp["phi_rows"])
+        return _kernel_checked("compensator.phi", CompensatorSpec.linear,
+                               _number(comp["rate"], "compensator.rate"), phi)
+    bp = _numbers(comp["breakpoints"], "compensator.breakpoints")
+    if len(bp) < 2 or bp[0] != 0.0 or any(b <= a for a, b in zip(bp, bp[1:])):
+        raise ConfigInvalid("compensator.breakpoints", "need two or more times rising from 0")
+    values = _numbers(comp["values"], "compensator.values", len(bp))
+    if values[0] != 0.0 or any(b < a for a, b in zip(values, values[1:])):
+        raise ConfigInvalid("compensator.values", "need A(0) = 0 and nondecreasing values")
+    rows = comp["phi_rows"]
+    if len(rows) != len(bp):
+        raise ConfigInvalid("compensator.phi_rows", "need one kernel row per breakpoint")
+    rows = [_numbers(row, f"compensator.phi_rows[{i}]", m) for i, row in enumerate(rows)]
+    return _kernel_checked("compensator.phi_rows", CompensatorSpec.piecewise, bp, values, rows)
+
+
+def _kernel_checked(path: str, build, *args) -> CompensatorSpec:
+    """``build(*args)``; ConfigInvalid at ``path`` if it rejects a mark kernel."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigInvalid(path, str(exc)) from None
 
 
 def build_problem(cfg: RunConfig):
@@ -299,7 +346,7 @@ def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h) -> GeneratorSpec
     g_off = _offset_levels(tree, gen.get("g", {}) or {}, "generator.g")
     if family == "given":
         g_levels = None if cfg.brownian == "none" else g_off
-        return GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels, beta=cfg.beta)
+        return GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels)
     f_state, g_state, constants = affine_generators(
         **_affine_coefficients(cfg),
         f_offset=lambda t, k: f_off[k],
@@ -312,7 +359,6 @@ def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h) -> GeneratorSpec
         f_state=f_state,
         g_state=None if cfg.brownian == "none" else g_state,
         lipschitz=constants(tree),
-        beta=cfg.beta,
     )
 
 
@@ -442,10 +488,8 @@ def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
         },
     }
     if frozen.is_given:
-        via, dec = solve_via_snell(tree, frozen)
-        gap = max(
-            float(np.max(np.abs(sol.y[k] - via.y[k]))) for k in range(tree.n_steps + 1)
-        )
+        y, dec = solve_via_snell(tree, frozen)
+        gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
         from .rbsde import reward_process
 
         support = envelope_jump_support(tree, dec, reward_process(tree, frozen))
@@ -478,8 +522,8 @@ def _certificate_record(tree, cert) -> dict:
 def run_stopping(tree, gen, sol, options: dict) -> dict:
     out = {}
     y0 = float(sol.y[0][0])
-    for i, eps in enumerate(options.get("epsilons", [])):
-        tol = _number(eps, f"stopping.epsilons[{i}]")
+    for eps in options.get("epsilons", []):
+        tol = float(eps)
         rule = epsilon_optimal_time(tree, sol, gen.h, tol)
         reward = reward_of_rule(tree, gen, rule)
         out[f"epsilon_{eps}"] = {
@@ -724,7 +768,7 @@ def main(argv=None) -> int:
             return cmd_verify(args.scale, Path(args.out) if args.out else None)
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _at_least(args.seed, "--seed", 0, int)
         out_dir = Path(args.out or cfg.out or "out")
         handler = {
             "solve": cmd_solve,

@@ -306,9 +306,14 @@ def extract_representation(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Re
     )
 
 
-def leaf_expectation(tree: ScenarioTree, leaf_values: np.ndarray) -> float:
-    """Direct probability-weighted expectation over the leaves."""
-    return float(tree.prob[-1] @ leaf_values)
+def level_expectation(tree: ScenarioTree, k: int, values: np.ndarray) -> float:
+    """Expectation of a level-k process: its path-probability-weighted sum.
+
+    ``einsum`` sums in one fixed order, where a BLAS ``dot`` splits a long
+    sum between its threads, so the result does not depend on how many
+    BLAS threads run.
+    """
+    return float(np.einsum("i,i->", tree.prob[k], values))
 
 
 def constant_process(tree: ScenarioTree, value: float) -> NodeProcess:

@@ -158,7 +158,6 @@ def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: Triple) -> Gener
         f_levels=f_levels,
         g_levels=g_levels,
         lipschitz=gen.lipschitz,
-        beta=gen.beta,
     )
 
 

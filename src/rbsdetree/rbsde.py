@@ -31,7 +31,7 @@ class LipschitzConstants(NamedTuple):
 
 @dataclass
 class GeneratorSpec:
-    """Problem data (xi, f, g, h) with weight parameters.
+    """Problem data (xi, f, g, h) and the generators' Lipschitz constants.
 
     ``f_levels``/``g_levels`` hold given (state-independent) generator values
     per level; ``f_state``/``g_state`` hold state-dependent callables
@@ -46,7 +46,6 @@ class GeneratorSpec:
     f_state: Optional[Callable] = None
     g_state: Optional[Callable] = None
     lipschitz: LipschitzConstants = LipschitzConstants()
-    beta: float = 1.0
 
     @property
     def is_given(self) -> bool:
@@ -90,23 +89,6 @@ class RbsdeSolution:
     residual: NodeProcess
 
 
-def _with_integrands(tree, y, dk, k_cum, with_brownian=True) -> RbsdeSolution:
-    """Complete (Y, K) with (U, Z, residual) from the representation of Y."""
-    n = tree.n_steps
-    u, z, residual = [None] * n, [None] * n, [None] * n
-    for k in range(n):
-        rep = extract_representation(tree, k, y[k + 1])
-        u[k], z[k], residual[k] = rep.u, rep.z, rep.residual
-    return RbsdeSolution(
-        y=y,
-        u=u,
-        z=z if with_brownian else None,
-        dk=dk,
-        k_cum=k_cum,
-        residual=residual,
-    )
-
-
 def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian):
     n = tree.n_steps
     y = [None] * (n + 1)
@@ -117,7 +99,18 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian):
         dk[k] = np.maximum(h[k] - ytil, 0.0)
         # max (not ytil + dk) so reflected nodes carry Y == h bit-exactly.
         y[k] = np.maximum(ytil, h[k])
-    return _with_integrands(tree, y, dk, tree.path_sum(dk), with_brownian)
+    u, z, residual = [None] * n, [None] * n, [None] * n
+    for k in range(n):
+        rep = extract_representation(tree, k, y[k + 1])
+        u[k], z[k], residual[k] = rep.u, rep.z, rep.residual
+    return RbsdeSolution(
+        y=y,
+        u=u,
+        z=z if with_brownian else None,
+        dk=dk,
+        k_cum=tree.path_sum(dk),
+        residual=residual,
+    )
 
 
 def solve_given_generators(tree: ScenarioTree, gen: GeneratorSpec) -> RbsdeSolution:
@@ -161,16 +154,15 @@ def _stopped_reward(gen: GeneratorSpec, cum: NodeProcess) -> NodeProcess:
 def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
     """Alternate route: envelope of the reward process plus its decomposition.
 
-    Returns (solution, decomposition); Y is the envelope minus the running
-    gains, K is the decomposition's increasing part.
+    Returns (y, decomposition); Y is the envelope minus the running gains,
+    K is the decomposition's increasing part (``dk``, ``k_cum``).
     """
     gen.validate(tree)
     f_levels, g_levels = gen.given_levels(tree)
     cum = running_gains(tree, f_levels, g_levels)
     envelope = snell_envelope(tree, _stopped_reward(gen, cum))
     dec = doob_meyer(tree, envelope)
-    y = [envelope[k] - cum[k] for k in range(tree.n_steps + 1)]
-    return _with_integrands(tree, y, dec.dk, dec.k_cum), dec
+    return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], dec
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,7 @@ def a_priori_majorant(
     tree: ScenarioTree,
     gen: GeneratorSpec,
     sol: RbsdeSolution,
-    beta: Optional[float] = None,
+    beta: float,
     tol: float = 1e-10,
 ) -> list:
     """Check the weighted bound e^{beta A_k / 2} |Y_k| <= S_k node-wise.
@@ -272,8 +264,6 @@ def a_priori_majorant(
     Cauchy-Schwarz bound it certifies holds on any grid.  Returns the list of
     violating (level, node, lhs, rhs) tuples; empty means the bound holds.
     """
-    if beta is None:
-        beta = gen.beta
     f_levels, g_levels = gen.given_levels(tree)
     a = tree.a_levels
     n = tree.n_steps

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import EnumerationBudgetExceeded
-from .lattice import ScenarioTree
-from .rbsde import GeneratorSpec, RbsdeSolution, running_gains
+from .lattice import ScenarioTree, cexp_level
+from .rbsde import GeneratorSpec, RbsdeSolution, reward_process, running_gains
 
 ENUMERATION_CAP = 20
 
@@ -54,23 +54,17 @@ def stop_levels(tree: ScenarioTree, rule: StoppingRule) -> np.ndarray:
 
 
 def reward_of_rule(tree: ScenarioTree, gen: GeneratorSpec, rule: StoppingRule) -> float:
-    """Expected running gains up to the stop node plus its stop reward."""
-    f_levels, g_levels = gen.given_levels(tree)
-    cum = running_gains(tree, f_levels, g_levels)
-    levels = stop_levels(tree, rule)
-    total = 0.0
-    for k in range(tree.n_steps + 1):
-        paths = np.flatnonzero(levels == k)
-        if len(paths) == 0:
-            continue
-        if k == tree.n_steps:
-            reward = cum[k][paths] + gen.xi[paths]
-            total += float(tree.prob[-1][paths] @ reward)
-        else:
-            anc = tree.ancestor_index(k, tree.n_steps)[paths]
-            reward = cum[k][anc] + gen.h[k][anc]
-            total += float(tree.prob[-1][paths] @ reward)
-    return total
+    """Value of the rule by backward induction.
+
+    V_N = eta_N, then V_k = eta_k on the stop set and E[V_{k+1} | node]
+    elsewhere, with eta the stopped reward (running gains plus barrier, or
+    plus payoff at T); the rule's value is V_0.
+    """
+    eta = reward_process(tree, gen)
+    v = eta[-1]
+    for k in range(tree.n_steps - 1, -1, -1):
+        v = np.where(rule.stop[k], eta[k], cexp_level(tree, k, v))
+    return float(v[0])
 
 
 @dataclass(frozen=True)
@@ -187,12 +181,11 @@ def smallest_optimal_time(tree: ScenarioTree, sol: RbsdeSolution, h) -> Stopping
 
 def k_flatness_before_stop(tree: ScenarioTree, sol: RbsdeSolution, rule: StoppingRule) -> float:
     """Max over paths of the push accumulated strictly before the stop node."""
-    levels = stop_levels(tree, rule)
+    live = np.ones(1, dtype=bool)  # nodes whose path has not stopped yet
     worst = 0.0
     for k in range(tree.n_steps + 1):
-        paths = np.flatnonzero(levels == k)
-        if len(paths) == 0:
-            continue
-        anc = tree.ancestor_index(k, tree.n_steps)[paths]
-        worst = max(worst, float(np.max(sol.k_cum[k][anc])))
+        first = live & rule.stop[k]
+        worst = max(worst, float(np.max(sol.k_cum[k][first], initial=0.0)))
+        if k < tree.n_steps:
+            live = tree.repeat_to_children(live & ~rule.stop[k], k)
     return worst

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BetaZero
-from .lattice import NodeProcess, ScenarioTree
+from .lattice import NodeProcess, ScenarioTree, level_expectation
 
 KINDS = ("A", "p", "W", "A-plus-lambda")
 
@@ -45,16 +45,13 @@ def norm_sq(tree: ScenarioTree, x: NodeProcess, w: WeightedNorm) -> float:
             tree, x, WeightedNorm("W", w.beta, w.gamma)
         )
     weights = _weights(tree, w)
+    clock = tree.grid.steps if w.kind == "W" else tree.da
     total = 0.0
     for k in range(tree.n_steps):
-        xk = np.asarray(x[k], dtype=float)
-        if w.kind == "A":
-            total += weights[k] * float(tree.prob[k] @ xk**2) * tree.da[k]
-        elif w.kind == "W":
-            total += weights[k] * float(tree.prob[k] @ xk**2) * tree.grid.steps[k]
-        else:  # kind "p"
-            per_node = xk**2 @ tree.phi[k]
-            total += weights[k] * float(tree.prob[k] @ per_node) * tree.da[k]
+        sq = np.asarray(x[k], dtype=float) ** 2
+        if w.kind == "p":
+            sq = sq @ tree.phi[k]
+        total += weights[k] * level_expectation(tree, k, sq) * clock[k]
     return float(total)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,8 @@ import yaml
 
 from rbsdetree.cli import build_problem, load_config, main, parse_config
 from rbsdetree.errors import ConfigInvalid
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "grid": {"n_steps": 1, "horizon": 1.0},
@@ -158,6 +163,8 @@ def test_exit_codes(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.yaml")]) == 2
     bad = _write(tmp_path, {**BASE, "mode": "mpp-only"}, "bad.yaml")
     assert main(["solve", "--config", bad]) == 2
+    good = _write(tmp_path, BASE, "good.yaml")
+    assert main(["simulate", "--config", good, "--seed", "-1", "--out", str(tmp_path / "sim")]) == 2
 
 
 def test_build_problem_shapes():
@@ -193,12 +200,20 @@ def test_infinite_beta_exits_2_naming_the_field(tmp_path, capsys):
 
 
 def test_norms_honours_picard_iteration_cap(tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / "picard_affine.yaml"
+    config = CONFIGS / "picard_affine.yaml"
     raw = yaml.safe_load(config.read_text())
     raw["picard"]["max_iter"] = 2
     path = _write(tmp_path, raw)
     for verb in ("solve", "picard", "norms"):
         assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 1
+
+
+PIECEWISE = {
+    "type": "piecewise",
+    "breakpoints": [0.0, 1.0],
+    "values": [0.0, 0.5],
+    "phi_rows": [[1.0], [1.0]],
+}
 
 
 @pytest.mark.parametrize(
@@ -208,17 +223,74 @@ def test_norms_honours_picard_iteration_cap(tmp_path):
         ("grid", "horizon", "nan", "grid.horizon"),
         ("grid", "n_steps", "many", "grid.n_steps"),
         ("barrier", "base", "abc", "barrier.base"),
+        ("compensator", None, {**PIECEWISE, "breakpoints": [0.5, 1.0]}, "compensator.breakpoints"),
+        ("compensator", None, {**PIECEWISE, "breakpoints": [0.0, "abc"]}, "compensator.breakpoints[1]"),
+        ("compensator", None, {**PIECEWISE, "phi_rows": [[0.5], [1.0]]}, "compensator.phi_rows"),
+        ("compensator", None, {**PIECEWISE, "values": [0.0]}, "compensator.values"),
+        ("compensator", None, {**PIECEWISE, "values": [0.0, -0.5]}, "compensator.values"),
+        ("compensator", None, {**PIECEWISE, "values": "abc"}, "compensator.values"),
+        ("compensator", "phi", [0.7], "compensator.phi"),
+        ("picard", None, 5, "picard"),
+        ("terminal", None, [1], "terminal"),
+        ("generator", "f", 3, "generator.f"),
+        ("stopping", "epsilons", 0.1, "stopping.epsilons"),
+        ("stopping", "epsilons", [-0.1], "stopping.epsilons[0]"),
+        ("simulate", "n_paths", -5, "simulate.n_paths"),
+        ("simulate", "n_paths", 0, "simulate.n_paths"),
+        ("beta", None, -1, "beta"),
+        ("gamma", None, -1, "gamma"),
+        ("seed", None, -1, "seed"),
+        ("marks", None, [1, "1"], "marks"),
+        ("picard", "max_iter", 0, "picard.max_iter"),
+        ("picard", "tol", 0.0, "picard.tol"),
     ],
 )
 def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, key, value, fieldname):
-    raw = {**BASE, section: {**BASE[section], key: value}}
-    code, err = _exit_and_error(tmp_path, capsys, raw)
-    assert code == 2 and fieldname in err
-    assert not (tmp_path / "run" / "summary.json").exists()
+    """A bad field exits 2 with its dotted path on stderr and writes nothing.
+
+    ``key`` None replaces the whole ``section``; otherwise ``key`` is set
+    inside it.  Every verb that reads the field is run.
+    """
+    raw = {**BASE, section: value if key is None else {**BASE.get(section, {}), key: value}}
+    for verb in ("simulate", "solve") if section == "simulate" else ("solve",):
+        code, err = _exit_and_error(tmp_path, capsys, raw, verb)
+        assert code == 2 and f"config error: {fieldname}:" in err
+        assert not (tmp_path / "run" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, n_steps, verb", [("picard_affine", 6, "solve"), ("mpp_only", 15, "norms")]
+)
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, config, n_steps, verb):
+    """The same run with 1 and with 2 BLAS threads writes the same bytes.
+
+    At 6 steps picard_affine has 46,656 leaves and at 15 steps mpp_only has
+    16,384 nodes on its last interior level: above 10,000 elements OpenBLAS
+    splits a dot product between threads.
+    """
+    import rbsdetree
+
+    raw = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+    raw["grid"]["n_steps"] = n_steps
+    path = _write(tmp_path, raw)
+    src = str(Path(rbsdetree.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "rbsdetree.cli", verb, "--config", path, "--out"]
+    for threads in ("1", "2"):
+        subprocess.run(
+            [*command, tmp_path / threads],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            check=True,
+            capture_output=True,
+        )
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_picard_norms_weight_bound_checks_the_frozen_f(tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / "picard_affine.yaml"
+    config = CONFIGS / "picard_affine.yaml"
     out = tmp_path / "norms"
     assert main(["norms", "--config", str(config), "--out", str(out)]) == 0
     bound = json.loads((out / "summary.json").read_text())["cauchy_weight_bound"]

@@ -11,7 +11,7 @@ from rbsdetree import (
     conditional_expectation,
     constant_process,
     extract_representation,
-    leaf_expectation,
+    level_expectation,
     process_from_state,
 )
 from rbsdetree.instances import make_tree
@@ -80,7 +80,7 @@ def test_tower_property():
     nested = v
     for k in range(tree.n_steps - 1, -1, -1):
         nested = cexp_level(tree, k, nested)
-    assert nested[0] == pytest.approx(leaf_expectation(tree, v), abs=1e-12)
+    assert nested[0] == pytest.approx(level_expectation(tree, tree.n_steps, v), abs=1e-12)
     assert conditional_expectation(tree, 2, 5, v) == pytest.approx(
         cexp_level(tree, 2, v)[5], abs=1e-14
     )

@@ -6,10 +6,15 @@ from hypothesis import strategies as st
 
 from rbsdetree import (
     GeneratorSpec,
+    StoppingRule,
     check_skorohod,
+    k_flatness_before_stop,
+    reward_of_rule,
+    running_gains,
     solve_given_generators,
     solve_mpp_only,
     solve_via_snell,
+    stop_levels,
 )
 from rbsdetree.instances import make_tree
 
@@ -64,10 +69,10 @@ def test_path_sum_is_the_sum_along_ancestors(tree, seed):
 def test_direct_and_envelope_routes_agree(problem):
     tree, gen = problem
     direct = solve_given_generators(tree, gen)
-    via, _ = solve_via_snell(tree, gen)
+    y, dec = solve_via_snell(tree, gen)
     for k in range(tree.n_steps + 1):
-        assert np.max(np.abs(direct.y[k] - via.y[k])) <= 1e-10
-        assert np.max(np.abs(direct.k_cum[k] - via.k_cum[k])) <= 1e-10
+        assert np.max(np.abs(direct.y[k] - y[k])) <= 1e-10
+        assert np.max(np.abs(direct.k_cum[k] - dec.k_cum[k])) <= 1e-10
 
 
 @SETTINGS
@@ -91,3 +96,41 @@ def test_jump_only_solver_equals_general_solver(problem):
     for k in range(tree.n_steps):
         assert np.max(np.abs(a.u[k] - b.u[k])) <= 1e-12
         assert np.max(np.abs(a.dk[k] - b.dk[k])) <= 1e-12
+
+
+def _per_leaf_reward(tree, gen, rule):
+    """Sum over leaves of the path's gains and stop reward at its first stop."""
+    f_levels, g_levels = gen.given_levels(tree)
+    cum = running_gains(tree, f_levels, g_levels)
+    levels = stop_levels(tree, rule)
+    total = 0.0
+    for k in range(tree.n_steps + 1):
+        paths = np.flatnonzero(levels == k)
+        anc = tree.ancestor_index(k, tree.n_steps)[paths]
+        stop_reward = gen.xi[paths] if k == tree.n_steps else gen.h[k][anc]
+        total += float(np.dot(tree.prob[-1][paths], cum[k][anc] + stop_reward))
+    return total
+
+
+def _per_leaf_flatness(tree, sol, rule):
+    """Max over leaves of K at the path's first stop."""
+    levels = stop_levels(tree, rule)
+    worst = 0.0
+    for k in range(tree.n_steps + 1):
+        paths = np.flatnonzero(levels == k)
+        if len(paths):
+            anc = tree.ancestor_index(k, tree.n_steps)[paths]
+            worst = max(worst, float(np.max(sol.k_cum[k][anc])))
+    return worst
+
+
+@SETTINGS
+@given(problem=problems(), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+def test_rule_values_match_the_per_leaf_formulas(problem, seed, density):
+    tree, gen = problem
+    sol = solve_given_generators(tree, gen)
+    rng = np.random.default_rng(seed)
+    levels = [rng.random(tree.level_size(k)) < density for k in range(tree.n_steps)]
+    rule = StoppingRule.from_levels([*levels, np.ones(tree.n_leaves, dtype=bool)])
+    assert abs(reward_of_rule(tree, gen, rule) - _per_leaf_reward(tree, gen, rule)) <= 1e-12
+    assert k_flatness_before_stop(tree, sol, rule) == _per_leaf_flatness(tree, sol, rule)

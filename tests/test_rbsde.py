@@ -52,9 +52,9 @@ def test_route_equivalence_and_k_agreement():
     for _ in range(10):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         direct = solve_given_generators(tree, gen)
-        via, dec = solve_via_snell(tree, gen)
+        y, dec = solve_via_snell(tree, gen)
         for k in range(tree.n_steps + 1):
-            assert np.allclose(direct.y[k], via.y[k], atol=1e-10)
+            assert np.allclose(direct.y[k], y[k], atol=1e-10)
             assert np.allclose(direct.k_cum[k], dec.k_cum[k], atol=1e-10)
 
 
@@ -135,11 +135,11 @@ def test_unreflected_solution_is_conditional_expectation():
     g = [rng.normal(size=tree.level_size(k)) for k in range(3)]
     gen = GeneratorSpec(xi=xi, h=h, f_levels=f, g_levels=g)
     sol = solve_given_generators(tree, gen)
-    from rbsdetree import leaf_expectation
+    from rbsdetree import level_expectation
     from rbsdetree.rbsde import running_gains
 
     cum = running_gains(tree, f, g)
-    expected = leaf_expectation(tree, xi + cum[-1])
+    expected = level_expectation(tree, tree.n_steps, xi + cum[-1])
     assert sol.y[0][0] == pytest.approx(expected, abs=1e-12)
     assert all(np.all(dk == 0) for dk in sol.dk)
 

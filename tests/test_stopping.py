@@ -7,7 +7,7 @@ from rbsdetree import (
     brute_force_value,
     epsilon_optimal_time,
     k_flatness_before_stop,
-    leaf_expectation,
+    level_expectation,
     reward_of_rule,
     rule_from_mask,
     smallest_optimal_time,
@@ -41,7 +41,7 @@ def test_leaves_only_reward_is_terminal_expectation():
     tree, gen = random_given_instance(rng, max_steps=3, with_generators=False)
     rule = StoppingRule.leaves_only(tree)
     assert reward_of_rule(tree, gen, rule) == pytest.approx(
-        leaf_expectation(tree, gen.xi), abs=1e-12
+        level_expectation(tree, tree.n_steps, gen.xi), abs=1e-12
     )
 
 
