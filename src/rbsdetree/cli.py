@@ -275,39 +275,44 @@ def _kernel_checked(path: str, build, *args) -> CompensatorSpec:
 
 
 def build_problem(cfg: RunConfig):
-    """Materialize (tree, generator spec) from a validated config."""
-    marks = MarkSet(cfg.mark_labels)
-    grid = TimeGrid.uniform(cfg.n_steps, cfg.horizon)
+    """Materialize (tree, generator spec) from a validated config.
+
+    Every number is read, and ConfigInvalid raised at its field, before the
+    tree is built.
+    """
+    comp = _compensator_spec(cfg)
+    budget = _number(cfg.generator.get("budget", DEFAULT_NODE_BUDGET), "generator.budget", int)
+    term = {k: _number(cfg.terminal.get(k, 0.0), f"terminal.{k}") for k in ("const", "w", "n", "wn")}
+    bar = {k: _number(cfg.barrier.get(k, 0.0), f"barrier.{k}") for k in ("w", "n", "leaf_slack")}
+    base = cfg.barrier.get("base", -1e6)
+    bar["base"] = (
+        _numbers(base, "barrier.base", cfg.n_steps + 1)
+        if isinstance(base, list)
+        else _number(base, "barrier.base")
+    )
+    gen = cfg.generator
+    offsets = [
+        {k: _number((gen.get(side) or {}).get(k, 0.0), f"generator.{side}.{k}")
+         for k in ("const", "tanh_w", "n", "t")}
+        for side in ("f", "g")
+    ]
+    family = gen.get("family", "given")
+    affine = None if family == "given" else _affine_coefficients(cfg)
+    if family == "clipped-affine":
+        affine["clip"] = _number(gen["clip"], "generator.clip")
     tree = build_tree(
-        grid,
-        marks,
-        _compensator_spec(cfg),
+        TimeGrid.uniform(cfg.n_steps, cfg.horizon),
+        MarkSet(cfg.mark_labels),
+        comp,
         n_brownian=1 if cfg.brownian == "none" else 2,
-        budget=_number(cfg.generator.get("budget", DEFAULT_NODE_BUDGET), "generator.budget", int),
+        budget=budget,
     )
-    term = cfg.terminal
-    xi = terminal_payoff(
-        tree,
-        **{key: _number(term.get(key, 0.0), f"terminal.{key}") for key in ("const", "w", "n", "wn")},
-    )
-    bar = cfg.barrier
-    base = bar.get("base", -1e6)
-    h = linear_barrier(
-        tree,
-        base=(
-            _numbers(base, "barrier.base", cfg.n_steps + 1)
-            if isinstance(base, list)
-            else _number(base, "barrier.base")
-        ),
-        **{key: _number(bar.get(key, 0.0), f"barrier.{key}") for key in ("w", "n", "leaf_slack")},
-        xi=xi,
-    )
-    gen = _build_generator(cfg, tree, xi, h)
-    return tree, gen
+    xi = terminal_payoff(tree, **term)
+    h = linear_barrier(tree, **bar, xi=xi)
+    return tree, _build_generator(cfg, tree, xi, h, offsets, affine)
 
 
-def _offset_levels(tree: ScenarioTree, coeffs: dict, path: str):
-    c = {k: _number(coeffs.get(k, 0.0), f"{path}.{k}") for k in ("const", "tanh_w", "n", "t")}
+def _offset_levels(tree: ScenarioTree, c: dict):
     return [
         c["const"]
         + c["tanh_w"] * np.tanh(tree.w[k])
@@ -339,19 +344,14 @@ def _family_constants(cfg: RunConfig):
     )
 
 
-def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h) -> GeneratorSpec:
-    gen = cfg.generator
-    family = gen.get("family", "given")
-    f_off = _offset_levels(tree, gen.get("f", {}) or {}, "generator.f")
-    g_off = _offset_levels(tree, gen.get("g", {}) or {}, "generator.g")
-    if family == "given":
+def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h, offsets, affine) -> GeneratorSpec:
+    """The generator spec; ``affine`` is None for the given family."""
+    f_off, g_off = (_offset_levels(tree, c) for c in offsets)
+    if affine is None:
         g_levels = None if cfg.brownian == "none" else g_off
         return GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels)
     f_state, g_state, constants = affine_generators(
-        **_affine_coefficients(cfg),
-        f_offset=lambda t, k: f_off[k],
-        g_offset=lambda t, k: g_off[k],
-        clip=_number(gen["clip"], "generator.clip") if family == "clipped-affine" else None,
+        **affine, f_offset=lambda t, k: f_off[k], g_offset=lambda t, k: g_off[k]
     )
     return GeneratorSpec(
         xi=xi,

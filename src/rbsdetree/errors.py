@@ -54,9 +54,9 @@ class NoConvergence(RbsdeTreeError):
     def __init__(self, distances, tol: float):
         self.distances = list(distances)
         self.tol = tol
+        last = f"last distance {self.distances[-1]:.3e}, " if self.distances else ""
         super().__init__(
-            f"no convergence after {len(self.distances)} iterations "
-            f"(last distance {self.distances[-1]:.3e}, tol {tol:.1e})"
+            f"no convergence after {len(self.distances)} iterations ({last}tol {tol:.1e})"
         )
 
 

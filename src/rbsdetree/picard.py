@@ -49,6 +49,8 @@ class ContractionConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if self.beta <= _beta_requirement(self.lipschitz, self.alpha):

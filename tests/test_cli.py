@@ -259,14 +259,42 @@ def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, k
 
 
 @pytest.mark.parametrize(
-    "config, n_steps, verb", [("picard_affine", 6, "solve"), ("mpp_only", 15, "norms")]
+    "section, key, value, fieldname",
+    [
+        ("terminal", "w", "abc", "terminal.w"),
+        ("barrier", "leaf_slack", "abc", "barrier.leaf_slack"),
+        ("barrier", "base", [0.5, "abc"], "barrier.base[1]"),
+        ("generator", "f", {"const": "abc"}, "generator.f.const"),
+        ("generator", "clip", "abc", "generator.clip"),
+    ],
+)
+def test_bad_problem_number_exits_2_before_the_tree_is_built(
+    tmp_path, capsys, monkeypatch, section, key, value, fieldname
+):
+    from rbsdetree import cli
+
+    builds = []
+    real_build_tree = cli.build_tree
+    monkeypatch.setattr(cli, "build_tree", lambda *a, **kw: builds.append(1) or real_build_tree(*a, **kw))
+    raw = {**BASE, "generator": {"family": "clipped-affine", "clip": 1.0}}
+    code, _ = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 0 and builds == [1]
+    builds.clear()
+    code, err = _exit_and_error(tmp_path, capsys, {**raw, section: {**raw.get(section, {}), key: value}})
+    assert code == 2 and f"config error: {fieldname}:" in err
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "config, n_steps, verb", [("picard_affine", 6, "solve"), ("mpp_only", 15, "norms"), ("mpp_only", 4, "oracle")]
 )
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, config, n_steps, verb):
     """The same run with 1 and with 2 BLAS threads writes the same bytes.
 
     At 6 steps picard_affine has 46,656 leaves and at 15 steps mpp_only has
     16,384 nodes on its last interior level: above 10,000 elements OpenBLAS
-    splits a dot product between threads.
+    splits a dot product between threads.  At 4 steps mpp_only has 15
+    interior nodes, so the oracle sums its whole table of 2^15 rule values.
     """
     import rbsdetree
 

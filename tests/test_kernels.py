@@ -1,7 +1,112 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbsdetree import _kernels
+
+
+def _path_loop_enumeration(path_nodes, reward_stop, reward_leaf, probs, n_interior):
+    """Reference: each path's stopped reward under every mask, summed path by path."""
+    n_rules = 1 << n_interior
+    masks = np.arange(n_rules, dtype=np.uint64)
+    values = np.zeros(n_rules)
+    n_paths, n_levels = path_nodes.shape
+    for p in range(n_paths):
+        val = np.full(n_rules, reward_leaf[p])
+        for k in range(n_levels - 1, -1, -1):
+            shift = np.uint64(n_interior - 1 - path_nodes[p, k])
+            bit = (masks >> shift) & np.uint64(1)
+            val = np.where(bit == 1, reward_stop[p, k], val)
+        values += probs[p] * val
+    return values
+
+
+def _layout(branchings, ids=None):
+    """Path-node table of a tree with these per-level branchings.
+
+    Node ids run in level order, as in ``brute_force_value``, unless ``ids``
+    relabels them.  Returns (path_nodes, n_interior).
+    """
+    widths = np.cumprod([1, *branchings])
+    n_paths = int(widths[-1])
+    offsets = np.concatenate([[0], np.cumsum(widths[:-1])])
+    path_nodes = np.empty((n_paths, len(branchings)), dtype=np.int64)
+    for depth, width in enumerate(widths[:-1]):
+        path_nodes[:, depth] = offsets[depth] + (np.arange(n_paths) * width) // n_paths
+    n_interior = int(offsets[-1])
+    if ids is not None:
+        path_nodes = np.asarray(ids, dtype=np.int64)[path_nodes]
+    return path_nodes, n_interior
+
+
+def _random_inputs(rng, branchings, ids=None):
+    path_nodes, n_interior = _layout(branchings, ids)
+    n_paths = len(path_nodes)
+    return (
+        path_nodes,
+        rng.normal(size=path_nodes.shape),
+        rng.normal(size=n_paths),
+        rng.dirichlet(np.ones(n_paths)),
+        n_interior,
+    )
+
+
+@st.composite
+def tree_layouts(draw):
+    """Branchings of 1-4 levels, each 1-3, with at most 12 interior nodes."""
+    branchings, width, n_interior = [], 1, 1
+    for _ in range(draw(st.integers(1, 4)) - 1):
+        most = min(3, (12 - n_interior) // width)  # the next level holds width * b nodes
+        if most < 1:
+            break
+        branchings.append(draw(st.integers(1, most)))
+        width *= branchings[-1]
+        n_interior += width
+    branchings.append(draw(st.integers(1, 3)))  # the last branching makes leaves
+    return branchings
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(branchings=tree_layouts(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_enumeration_matches_the_path_loop_on_every_mask(branchings, data, seed):
+    n_interior = _layout(branchings)[1]
+    assert n_interior <= 12
+    ids = data.draw(st.permutations(range(n_interior)))
+    args = _random_inputs(np.random.default_rng(seed), branchings, ids)
+    values = _kernels.enumerate_rules(*args)
+    assert values.shape == (1 << n_interior,) and values.dtype == np.float64
+    np.testing.assert_allclose(values, _path_loop_enumeration(*args), rtol=0, atol=1e-12)
+
+
+def test_enumeration_matches_the_path_loop_at_the_oracle_cap_shape():
+    args = _random_inputs(np.random.default_rng(20), [1, 2, 2, 1, 2, 2])
+    assert args[4] == 20
+    values = _kernels.enumerate_rules(*args)
+    reference = _path_loop_enumeration(*args)
+    np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12)
+    # the oracle's tie-break: the largest mask among the maximal values
+    assert np.argmax(values[::-1]) == np.argmax(reference[::-1])
+
+
+@pytest.mark.parametrize(
+    "path_nodes, n_interior",
+    [
+        ([[0, 1], [0, 2], [0, 1]], 3),  # node 1's paths are not contiguous
+        ([[0, 2], [1, 2]], 3),  # node 2 lies under two parents
+        ([[0, 0], [0, 0]], 1),  # node 0 on two levels
+        ([[0, 1], [0, 1]], 3),  # node 2 on no path
+        ([[0, 1], [0, 3]], 3),  # node 3 out of range
+        (np.zeros((0, 1), dtype=np.int64), 0),  # no path at all
+    ],
+)
+def test_enumeration_rejects_a_non_tree_layout(path_nodes, n_interior):
+    path_nodes = np.asarray(path_nodes, dtype=np.int64)
+    n_paths = len(path_nodes)
+    with pytest.raises(ValueError, match="tree"):
+        _kernels.enumerate_rules(
+            path_nodes, np.zeros(path_nodes.shape), np.zeros(n_paths), np.ones(n_paths), n_interior
+        )
 
 
 def _toy_enumeration_inputs(rng, n_paths=8, n_levels=3, n_interior=7):

@@ -88,6 +88,22 @@ def test_no_convergence_raises_with_trace():
     assert len(exc.value.distances) == 1
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_config_rejects_max_iter_below_one(max_iter):
+    lip = LipschitzConstants(l_f=0.1, l_u=0.1)
+    with pytest.raises(ValueError, match="max_iter"):
+        ContractionConfig(beta=5.0, gamma=1.0, alpha=0.9, lipschitz=lip, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        select_contraction_parameters(lip, beta=5.0, max_iter=max_iter)
+
+
+def test_no_convergence_message_on_an_empty_trace():
+    err = NoConvergence([], 1e-9)
+    assert err.distances == []
+    assert "after 0 iterations" in str(err) and "tol 1.0e-09" in str(err)
+    assert "last distance 2.500e-01" in str(NoConvergence([0.5, 0.25], 1e-9))
+
+
 def test_composite_distance_is_a_metric_at_zero():
     rng = np.random.default_rng(2)
     tree, gen = random_picard_instance(rng)

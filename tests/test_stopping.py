@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from rbsdetree import (
+    CompensatorSpec,
     EnumerationBudgetExceeded,
+    GeneratorSpec,
+    MarkSet,
+    TimeGrid,
+    build_tree,
     StoppingRule,
     brute_force_value,
     epsilon_optimal_time,
@@ -10,6 +15,7 @@ from rbsdetree import (
     level_expectation,
     reward_of_rule,
     rule_from_mask,
+    running_gains,
     smallest_optimal_time,
     solve_given_generators,
     stop_levels,
@@ -71,8 +77,6 @@ def test_tie_break_prefers_larger_mask():
     # constant reward everywhere: every rule ties; largest mask stops earliest
     tree = make_tree(1, 1.0, ("a",), rate=0.0)
     xi = np.zeros(tree.n_leaves)
-    from rbsdetree import GeneratorSpec
-
     gen = GeneratorSpec(xi=xi, h=[np.array([0.0]), xi])
     cert = brute_force_value(tree, gen)
     assert cert.best_mask == 1
@@ -104,11 +108,44 @@ def test_subtree_values_match_node_solution():
             assert cert.value == pytest.approx(float(sol.y[k][i]), abs=1e-10)
 
 
+def test_brute_force_at_a_leaf_is_the_leaf_reward():
+    rng = np.random.default_rng(4)
+    tree, gen = random_oracle_instance(rng)
+    for j in (0, tree.n_leaves - 1):
+        cert = brute_force_value(tree, gen, root_level=tree.n_steps, root_index=j)
+        assert cert.n_interior == 0 and cert.best_mask == 0
+        assert cert.all_values.tolist() == [float(gen.xi[j])]
+        assert cert.value == float(gen.xi[j])
+
+
+def test_brute_force_below_a_node_with_branching_one():
+    # jump-only, flat compensator on [1, 2]: the level-1 nodes have one child
+    comp = CompensatorSpec.piecewise([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.6, 1.4], [[1.0]] * 4)
+    tree = build_tree(TimeGrid.uniform(3, 3.0), MarkSet(("e1",)), comp, n_brownian=1)
+    assert [tree.branching(k) for k in range(3)] == [2, 1, 2]
+    rng = np.random.default_rng(5)
+    xi = rng.normal(size=tree.n_leaves)
+    h = [rng.normal(size=tree.level_size(k)) for k in range(3)] + [xi]
+    f = [rng.normal(size=tree.level_size(k)) for k in range(3)]
+    gen = GeneratorSpec(xi=xi, h=h, f_levels=f)
+    sol = solve_given_generators(tree, gen)
+    cum = running_gains(tree, *gen.given_levels(tree))
+    for i in range(tree.level_size(1)):
+        cert = brute_force_value(tree, gen, root_level=1, root_index=i)
+        assert cert.n_interior == 2
+        leaves = [2 * i, 2 * i + 1]
+        p = tree.prob[3][leaves] / tree.prob[1][i]
+        continue_value = float(p @ (cum[3][leaves] + xi[leaves])) - cum[1][i]
+        # masks: 0 continues to the leaves, 1 stops at the level-2 child,
+        # 2 and 3 stop at the root of the subtree
+        expected = [continue_value, cum[2][i] - cum[1][i] + h[2][i], h[1][i], h[1][i]]
+        np.testing.assert_allclose(cert.all_values, expected, rtol=0, atol=1e-12)
+        assert cert.value == pytest.approx(float(sol.y[1][i]), abs=1e-10)
+
+
 def test_enumeration_cap():
     tree = make_tree(5, 1.0, ("a",), rate=0.0)  # 31 interior nodes
     xi = tree.w[-1].copy()
-    from rbsdetree import GeneratorSpec
-
     gen = GeneratorSpec(xi=xi, h=[np.full(tree.level_size(k), -10.0) for k in range(5)] + [xi])
     with pytest.raises(EnumerationBudgetExceeded):
         brute_force_value(tree, gen)
