@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,6 @@ from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
 from .picard import picard_solve, select_contraction_parameters
 from .rbsde import (
     GeneratorSpec,
-    LipschitzConstants,
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,
@@ -51,43 +50,48 @@ MODES = ("given", "picard", "mpp-only")
 FAMILIES = ("given", "affine", "clipped-affine")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (mirrors the YAML layout)."""
+    """A validated run configuration: every number read, checked and typed once.
+
+    ``sections`` keeps the raw YAML mappings that ``echo`` writes back into
+    the ``config`` block of summary.json (compensator, terminal, barrier,
+    generator, stopping, picard, simulate); nothing else reads them.  The
+    compensator spec holds closures, so equality compares its section.
+    """
 
     n_steps: int
     horizon: float
     mark_labels: tuple
-    compensator: dict
+    compensator: CompensatorSpec = field(compare=False)
     brownian: str  # "binomial" | "none"
     mode: str
-    terminal: dict
-    barrier: dict
-    generator: dict
-    beta: float = 1.0
-    gamma: float = 0.0
-    stopping: dict = field(default_factory=dict)
-    picard: dict = field(default_factory=dict)
-    simulate: dict = field(default_factory=dict)
-    seed: int = 0
-    out: Optional[str] = None
+    terminal: dict  # terminal_payoff keywords
+    barrier: dict  # linear_barrier keywords
+    offsets: tuple  # f and g offset coefficients
+    affine: Optional[dict]  # affine_generators coefficients; None for the given family
+    budget: int
+    beta: float
+    gamma: float
+    epsilons: tuple  # (tolerance, label) pairs; the label is the YAML value's text
+    oracle: bool
+    max_iter: int
+    tol: float
+    n_paths: int
+    seed: int
+    out: Optional[str]
+    sections: dict
 
     def echo(self) -> dict:
         return {
             "grid": {"n_steps": self.n_steps, "horizon": self.horizon},
             "marks": list(self.mark_labels),
-            "compensator": self.compensator,
             "brownian": self.brownian,
             "mode": self.mode,
-            "terminal": self.terminal,
-            "barrier": self.barrier,
-            "generator": self.generator,
             "beta": self.beta,
             "gamma": self.gamma,
-            "stopping": self.stopping,
-            "picard": self.picard,
-            "simulate": self.simulate,
             "seed": self.seed,
+            **self.sections,
         }
 
 
@@ -119,34 +123,39 @@ def _require_finite(node, path: str):
         raise ConfigInvalid(path, f"must be finite, got {node!r}")
 
 
-def _number(value, path: str, kind=float):
-    """``kind(value)``; ConfigInvalid at ``path`` if it fails or is not finite."""
+def _number(value, path: str, kind=float, low=None):
+    """``value`` as a finite ``kind`` (float or int), at least ``low`` if given.
+
+    ConfigInvalid at ``path`` for a bool, for anything ``float()`` rejects
+    (numeric strings such as ``1e-9``, which YAML 1.1 reads as text, pass),
+    for a non-finite value and, when ``kind`` is int, for a fractional one.
+    """
+    if isinstance(value, bool):
+        raise ConfigInvalid(path, f"expected a number, got {value!r}")
     try:
-        out = kind(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigInvalid(path, f"expected a number, got {value!r}") from None
     if not math.isfinite(out):
         raise ConfigInvalid(path, f"must be finite, got {value!r}")
-    return out
-
-
-def _numbers(values, path: str, length: Optional[int] = None) -> list:
-    """A list of finite floats, ``length`` of them if given, each read by ``_number``."""
-    if not isinstance(values, list) or length not in (None, len(values)):
-        raise ConfigInvalid(path, f"need a list of {length or 'finite'} numbers")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(values)]
-
-
-def _at_least(value, path: str, low, kind=float):
-    """``_number(value, path, kind)``, which must be >= ``low``."""
-    out = _number(value, path, kind)
-    if out < low:
+    if kind is int:
+        if not out.is_integer():
+            raise ConfigInvalid(path, f"expected an integer, got {value!r}")
+        out = value if isinstance(value, int) else int(out)
+    if low is not None and out < low:
         raise ConfigInvalid(path, f"must be >= {low}, got {value!r}")
     return out
 
 
+def _numbers(values, path: str, length: Optional[int] = None, low=None) -> list:
+    """A list of finite floats, ``length`` of them if given, each read by ``_number``."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise ConfigInvalid(path, f"need a list of {length or 'finite'} numbers")
+    return [_number(x, f"{path}[{i}]", low=low) for i, x in enumerate(values)]
+
+
 def parse_config(raw: dict) -> RunConfig:
-    """Validate the parsed YAML mapping into a RunConfig."""
+    """Read and check every field of the parsed YAML mapping into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("<root>", "config must be a mapping")
     _require_finite(raw, "")
@@ -161,17 +170,8 @@ def parse_config(raw: dict) -> RunConfig:
     labels = tuple(str(x) for x in _require(raw, "marks", list))
     if not labels or len(set(labels)) != len(labels):
         raise ConfigInvalid("marks", "need at least one distinct label")
-
+    m = len(labels)
     comp = dict(_require(raw, "compensator", dict))
-    ctype = comp.get("type", "linear")
-    if ctype == "linear":
-        if _number(comp.get("rate", -1.0), "compensator.rate") < 0:
-            raise ConfigInvalid("compensator.rate", "linear compensator needs rate >= 0")
-    elif ctype == "piecewise":
-        for key in ("breakpoints", "values", "phi_rows"):
-            _require(comp, key, list, "compensator")
-    else:
-        raise ConfigInvalid("compensator.type", f"unknown type {ctype!r}")
 
     brownian = raw.get("brownian", "binomial")
     if brownian not in ("binomial", "none"):
@@ -183,8 +183,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid("mode", "mpp-only requires brownian: none")
 
     gen = _mapping(raw, "generator")
-    for key in ("f", "g"):
-        _mapping(gen, key, "generator")
+    sides = [_mapping(gen, side, "generator") for side in ("f", "g")]
     family = gen.get("family", "given")
     if family not in FAMILIES:
         raise ConfigInvalid("generator.family", f"must be one of {FAMILIES}")
@@ -192,40 +191,62 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid(
             "generator.family", "picard mode needs an affine or clipped-affine family"
         )
-    if family == "clipped-affine" and "clip" not in gen:
-        raise ConfigInvalid("generator.clip", "clipped-affine family needs a clip bound")
+    affine = None
+    if family != "given":
+        affine = {k: _number(gen.get(k, 0.0), f"generator.{k}") for k in ("fa", "fb", "ga", "gz")}
+        affine["fc"] = _numbers(gen.get("fc", [1.0] * m), "generator.fc", m)
+    if family == "clipped-affine":
+        if "clip" not in gen:
+            raise ConfigInvalid("generator.clip", "clipped-affine family needs a clip bound")
+        affine["clip"] = _number(gen["clip"], "generator.clip")
 
+    terminal = _mapping(raw, "terminal")
+    barrier = _mapping(raw, "barrier")
+    base = barrier.get("base", -1e6)
     stopping = _mapping(raw, "stopping")
-    for i, eps in enumerate(_numbers(stopping.get("epsilons", []), "stopping.epsilons")):
-        _at_least(eps, f"stopping.epsilons[{i}]", 0.0)
+    eps = stopping.get("epsilons", [])
     picard = _mapping(raw, "picard")
-    _at_least(picard.get("max_iter", 40), "picard.max_iter", 1, int)
-    if _number(picard.get("tol", 1e-9), "picard.tol") <= 0:
-        raise ConfigInvalid("picard.tol", "must be > 0")
     simulate = _mapping(raw, "simulate")
-    _at_least(simulate.get("n_paths", 10_000), "simulate.n_paths", 1, int)
-
     cfg = RunConfig(
         n_steps=n_steps,
         horizon=horizon,
         mark_labels=labels,
-        compensator=comp,
+        compensator=_compensator_spec(comp, m),
         brownian=brownian,
         mode=mode,
-        terminal=_mapping(raw, "terminal"),
-        barrier=_mapping(raw, "barrier"),
-        generator=gen,
-        beta=_at_least(raw.get("beta", 1.0), "beta", 0.0),
-        gamma=_at_least(raw.get("gamma", 0.0), "gamma", 0.0),
-        stopping=stopping,
-        picard=picard,
-        simulate=simulate,
-        seed=_at_least(raw.get("seed", 0), "seed", 0, int),
-        out=raw.get("out"),
+        terminal={k: _number(terminal.get(k, 0.0), f"terminal.{k}") for k in ("const", "w", "n", "wn")},
+        barrier={
+            **{k: _number(barrier.get(k, 0.0), f"barrier.{k}") for k in ("w", "n", "leaf_slack")},
+            "base": _numbers(base, "barrier.base", n_steps + 1)
+            if isinstance(base, list)
+            else _number(base, "barrier.base"),
+        },
+        offsets=tuple(
+            {k: _number(side.get(k, 0.0), f"generator.{name}.{k}")
+             for k in ("const", "tanh_w", "n", "t")}
+            for name, side in zip("fg", sides)
+        ),
+        affine=affine,
+        budget=_number(gen.get("budget", DEFAULT_NODE_BUDGET), "generator.budget", int),
+        beta=_number(raw.get("beta", 1.0), "beta", low=0.0),
+        gamma=_number(raw.get("gamma", 0.0), "gamma", low=0.0),
+        epsilons=tuple(zip(_numbers(eps, "stopping.epsilons", low=0.0), map(str, eps))),
+        oracle=bool(stopping.get("oracle", False)),
+        max_iter=_number(picard.get("max_iter", 40), "picard.max_iter", int, low=1),
+        tol=_number(picard.get("tol", 1e-9), "picard.tol"),
+        n_paths=_number(simulate.get("n_paths", 10_000), "simulate.n_paths", int, low=1),
+        seed=_number(raw.get("seed", 0), "seed", int, low=0),
+        out=None if raw.get("out") is None else _require(raw, "out", str),
+        sections=dict(compensator=comp, terminal=terminal, barrier=barrier, generator=gen,
+                      stopping=stopping, picard=picard, simulate=simulate),
     )
-    if cfg.mode == "picard":
-        lip = _family_constants(cfg)
-        minimal = lip.l_u**2 + 2 * lip.l_f
+    if cfg.tol <= 0:
+        raise ConfigInvalid("picard.tol", "must be > 0")
+    if mode == "picard":
+        # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
+        # and for the beta guard the conservative max|fc| is the right constant.
+        l_u = abs(affine["fb"]) * max(abs(x) for x in affine["fc"])
+        minimal = l_u**2 + 2 * abs(affine["fa"])
         if cfg.beta <= minimal:
             raise ConfigInvalid(
                 "beta",
@@ -234,32 +255,45 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
+#: libyaml's loader where PyYAML was built with it.  Both loaders share the
+#: SafeConstructor and the resolver, so they build the same mapping.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path) -> RunConfig:
+    # Bytes, so that the YAML reader decodes them and reports bad encoding.
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigInvalid("--config", f"file not found: {path}")
+    except OSError as exc:
+        raise ConfigInvalid("--config", f"cannot read {path}: {exc.strerror}")
     except yaml.YAMLError as exc:
         raise ConfigInvalid("--config", f"not valid YAML: {exc}")
     return parse_config(raw)
 
 
-def _compensator_spec(cfg: RunConfig) -> CompensatorSpec:
-    """The configured compensator; ConfigInvalid at the field it rejects."""
-    comp = cfg.compensator
-    m = len(cfg.mark_labels)
-    if comp.get("type", "linear") == "linear":
+def _compensator_spec(comp: dict, m: int) -> CompensatorSpec:
+    """The compensator of ``comp`` over ``m`` marks; ConfigInvalid at the field it rejects."""
+    ctype = comp.get("type", "linear")
+    if ctype == "linear":
+        rate = _number(comp.get("rate", -1.0), "compensator.rate")
+        if rate < 0:
+            raise ConfigInvalid("compensator.rate", "linear compensator needs rate >= 0")
         phi = _numbers(comp.get("phi", [1.0 / m] * m), "compensator.phi", m)
-        return _kernel_checked("compensator.phi", CompensatorSpec.linear,
-                               _number(comp["rate"], "compensator.rate"), phi)
-    bp = _numbers(comp["breakpoints"], "compensator.breakpoints")
+        return _kernel_checked("compensator.phi", CompensatorSpec.linear, rate, phi)
+    if ctype != "piecewise":
+        raise ConfigInvalid("compensator.type", f"unknown type {ctype!r}")
+    bp, values, rows = (
+        _require(comp, key, list, "compensator") for key in ("breakpoints", "values", "phi_rows")
+    )
+    bp = _numbers(bp, "compensator.breakpoints")
     if len(bp) < 2 or bp[0] != 0.0 or any(b <= a for a, b in zip(bp, bp[1:])):
         raise ConfigInvalid("compensator.breakpoints", "need two or more times rising from 0")
-    values = _numbers(comp["values"], "compensator.values", len(bp))
+    values = _numbers(values, "compensator.values", len(bp))
     if values[0] != 0.0 or any(b < a for a, b in zip(values, values[1:])):
         raise ConfigInvalid("compensator.values", "need A(0) = 0 and nondecreasing values")
-    rows = comp["phi_rows"]
     if len(rows) != len(bp):
         raise ConfigInvalid("compensator.phi_rows", "need one kernel row per breakpoint")
     rows = [_numbers(row, f"compensator.phi_rows[{i}]", m) for i, row in enumerate(rows)]
@@ -275,41 +309,17 @@ def _kernel_checked(path: str, build, *args) -> CompensatorSpec:
 
 
 def build_problem(cfg: RunConfig):
-    """Materialize (tree, generator spec) from a validated config.
-
-    Every number is read, and ConfigInvalid raised at its field, before the
-    tree is built.
-    """
-    comp = _compensator_spec(cfg)
-    budget = _number(cfg.generator.get("budget", DEFAULT_NODE_BUDGET), "generator.budget", int)
-    term = {k: _number(cfg.terminal.get(k, 0.0), f"terminal.{k}") for k in ("const", "w", "n", "wn")}
-    bar = {k: _number(cfg.barrier.get(k, 0.0), f"barrier.{k}") for k in ("w", "n", "leaf_slack")}
-    base = cfg.barrier.get("base", -1e6)
-    bar["base"] = (
-        _numbers(base, "barrier.base", cfg.n_steps + 1)
-        if isinstance(base, list)
-        else _number(base, "barrier.base")
-    )
-    gen = cfg.generator
-    offsets = [
-        {k: _number((gen.get(side) or {}).get(k, 0.0), f"generator.{side}.{k}")
-         for k in ("const", "tanh_w", "n", "t")}
-        for side in ("f", "g")
-    ]
-    family = gen.get("family", "given")
-    affine = None if family == "given" else _affine_coefficients(cfg)
-    if family == "clipped-affine":
-        affine["clip"] = _number(gen["clip"], "generator.clip")
+    """Materialize (tree, generator spec) from a validated config."""
     tree = build_tree(
         TimeGrid.uniform(cfg.n_steps, cfg.horizon),
         MarkSet(cfg.mark_labels),
-        comp,
+        cfg.compensator,
         n_brownian=1 if cfg.brownian == "none" else 2,
-        budget=budget,
+        budget=cfg.budget,
     )
-    xi = terminal_payoff(tree, **term)
-    h = linear_barrier(tree, **bar, xi=xi)
-    return tree, _build_generator(cfg, tree, xi, h, offsets, affine)
+    xi = terminal_payoff(tree, **cfg.terminal)
+    h = linear_barrier(tree, **cfg.barrier, xi=xi)
+    return tree, _build_generator(cfg, tree, xi, h)
 
 
 def _offset_levels(tree: ScenarioTree, c: dict):
@@ -323,35 +333,14 @@ def _offset_levels(tree: ScenarioTree, c: dict):
     ]
 
 
-def _affine_coefficients(cfg: RunConfig) -> dict:
-    """The affine family's fa, fb, fc, ga and gz, each read by ``_number``."""
-    gen = cfg.generator
-    m = len(cfg.mark_labels)
-    coeffs = {key: _number(gen.get(key, 0.0), f"generator.{key}") for key in ("fa", "fb", "ga", "gz")}
-    coeffs["fc"] = _numbers(gen.get("fc", [1.0] * m), "generator.fc", m)
-    return coeffs
-
-
-def _family_constants(cfg: RunConfig):
-    c = _affine_coefficients(cfg)
-    # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
-    # and for the beta guard the conservative max|fc| is the right constant.
-    return LipschitzConstants(
-        l_f=abs(c["fa"]),
-        l_u=abs(c["fb"]) * max(abs(x) for x in c["fc"]),
-        l_g=abs(c["ga"]),
-        l_z=abs(c["gz"]),
-    )
-
-
-def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h, offsets, affine) -> GeneratorSpec:
-    """The generator spec; ``affine`` is None for the given family."""
-    f_off, g_off = (_offset_levels(tree, c) for c in offsets)
-    if affine is None:
+def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h) -> GeneratorSpec:
+    """The generator spec of the configured family."""
+    f_off, g_off = (_offset_levels(tree, c) for c in cfg.offsets)
+    if cfg.affine is None:
         g_levels = None if cfg.brownian == "none" else g_off
         return GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels)
     f_state, g_state, constants = affine_generators(
-        **affine, f_offset=lambda t, k: f_off[k], g_offset=lambda t, k: g_off[k]
+        **cfg.affine, f_offset=lambda t, k: f_off[k], g_offset=lambda t, k: g_off[k]
     )
     return GeneratorSpec(
         xi=xi,
@@ -465,10 +454,17 @@ def write_trace_csv(out_dir: Path, distances):
 # ---------------------------------------------------------------------------
 # Checks shared by the solve-family verbs
 # ---------------------------------------------------------------------------
-def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
-    """Every applicable invariant check with its verdict and diagnostics."""
-    sk = check_skorohod(tree, sol, gen.h)
-    eq = check_equation_residual(tree, sol, frozen)
+def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float, trace=None) -> dict:
+    """Every applicable invariant check with its verdict and diagnostics.
+
+    A Picard ``trace`` already holds the minimal-push and residual checks of
+    its final iterate, made with these same arguments; they are not redone.
+    """
+    if trace is None:
+        sk = check_skorohod(tree, sol, gen.h)
+        eq = check_equation_residual(tree, sol, frozen)
+    else:
+        sk, eq = trace.skorohod, trace.equation
     checks = {
         "minimal_push": {
             "passed": bool(sk.passed),
@@ -519,14 +515,14 @@ def _certificate_record(tree, cert) -> dict:
     }
 
 
-def run_stopping(tree, gen, sol, options: dict) -> dict:
+def run_stopping(tree, gen, sol, epsilons, oracle: bool) -> dict:
+    """Stopping-rule checks: each (tolerance, label) in ``epsilons``, first contact, the oracle."""
     out = {}
     y0 = float(sol.y[0][0])
-    for eps in options.get("epsilons", []):
-        tol = float(eps)
+    for tol, label in epsilons:
         rule = epsilon_optimal_time(tree, sol, gen.h, tol)
         reward = reward_of_rule(tree, gen, rule)
-        out[f"epsilon_{eps}"] = {
+        out[f"epsilon_{label}"] = {
             "reward": reward,
             "gap": y0 - reward,
             "passed": bool(y0 <= reward + tol + 1e-12),
@@ -535,7 +531,7 @@ def run_stopping(tree, gen, sol, options: dict) -> dict:
     star = smallest_optimal_time(tree, sol, gen.h)
     reward = reward_of_rule(tree, gen, star)
     out["first_contact"] = {"reward": reward, "passed": bool(abs(y0 - reward) <= 1e-10)}
-    if options.get("oracle", False):
+    if oracle:
         try:
             cert = brute_force_value(tree, gen, keep_table=False)
             out["oracle"] = {
@@ -580,10 +576,7 @@ def _solve(cfg: RunConfig, tree: ScenarioTree, gen: GeneratorSpec):
     """
     if cfg.mode == "picard":
         contraction = select_contraction_parameters(
-            gen.lipschitz,
-            cfg.beta,
-            max_iter=_number(cfg.picard.get("max_iter", 40), "picard.max_iter", int),
-            tol=_number(cfg.picard.get("tol", 1e-9), "picard.tol"),
+            gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol
         )
         trace = picard_solve(tree, gen, contraction)
         return trace.solution, trace.frozen_spec, contraction, trace
@@ -594,8 +587,8 @@ def _solve(cfg: RunConfig, tree: ScenarioTree, gen: GeneratorSpec):
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     tree, gen = build_problem(cfg)
     sol, frozen, contraction, trace = _solve(cfg, tree, gen)
-    checks = run_checks(tree, gen, sol, frozen, cfg.beta)
-    stopping = run_stopping(tree, frozen, sol, cfg.stopping)
+    checks = run_checks(tree, gen, sol, frozen, cfg.beta, trace)
+    stopping = run_stopping(tree, frozen, sol, cfg.epsilons, cfg.oracle)
     verdicts = {}
     summary = {
         "config": cfg.echo(),
@@ -644,9 +637,9 @@ def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
-    tree, gen = build_problem(cfg)
-    if not gen.is_given:
+    if cfg.affine is not None:
         raise ConfigInvalid("mode", "the oracle verb needs a given-generator family")
+    tree, gen = build_problem(cfg)
     sol = _solve(cfg, tree, gen)[0]
     cert = brute_force_value(tree, gen, keep_table=False)
     y0 = float(sol.y[0][0])
@@ -666,8 +659,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     marks = MarkSet(cfg.mark_labels)
     grid = TimeGrid.uniform(cfg.n_steps, cfg.horizon)
-    spec = _compensator_spec(cfg)
-    n_paths = _number(cfg.simulate.get("n_paths", 10_000), "simulate.n_paths", int)
+    spec, n_paths = cfg.compensator, cfg.n_paths
     da = spec.increments(grid.times)
     p_event = -np.expm1(-da)
     counts = _kernels.simulate_event_counts(p_event, n_paths, cfg.seed)
@@ -745,31 +737,36 @@ def cmd_verify(scale: str, out_dir: Optional[Path]) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser; ``main`` checks which options go with the verb."""
     parser = argparse.ArgumentParser(
         prog="rbsde-tree",
         description="Reflected backward solver and verification harness on scenario trees",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("solve", "picard", "oracle", "simulate", "norms"):
-        p = sub.add_parser(verb)
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory")
-    v = sub.add_parser("verify")
-    v.add_argument("--scale", choices=("small", "full"), default="small")
-    v.add_argument("--out", default=None, help="optional report directory")
+    verbs = ("solve", "picard", "oracle", "simulate", "norms", "verify")
+    parser.add_argument("verb", choices=verbs)
+    parser.add_argument("--config", help="YAML run configuration (every verb but verify)")
+    parser.add_argument("--seed", type=int, help="override the config seed (not for verify)")
+    parser.add_argument("--out", help="output directory (optional report directory for verify)")
+    parser.add_argument("--scale", choices=("small", "full"), help="verify only; default small")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.verb == "verify":
+        if args.config is not None or args.seed is not None:
+            parser.error("verify takes no --config or --seed")
+    elif args.config is None:
+        parser.error(f"{args.verb} needs --config")
+    elif args.scale is not None:
+        parser.error(f"--scale is for verify only, not {args.verb}")
     try:
         if args.verb == "verify":
-            return cmd_verify(args.scale, Path(args.out) if args.out else None)
+            return cmd_verify(args.scale or "small", Path(args.out) if args.out else None)
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = _at_least(args.seed, "--seed", 0, int)
-        out_dir = Path(args.out or cfg.out or "out")
+            cfg = replace(cfg, seed=_number(args.seed, "--seed", int, low=0))
         handler = {
             "solve": cmd_solve,
             "picard": cmd_picard,
@@ -777,7 +774,7 @@ def main(argv=None) -> int:
             "simulate": cmd_simulate,
             "norms": cmd_norms,
         }[args.verb]
-        return handler(cfg, out_dir)
+        return handler(cfg, Path(args.out or cfg.out or "out"))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

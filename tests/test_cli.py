@@ -159,6 +159,53 @@ def test_simulate_verb_and_seed_override(tmp_path):
     assert summary["within_three_sigma"] is True
 
 
+def test_integral_floats_and_numeric_strings_are_read(tmp_path):
+    raw = {
+        **BASE,
+        "grid": {"n_steps": 2.0, "horizon": "1.0"},
+        "seed": 7.0,
+        "picard": {"max_iter": 3.0, "tol": "1e-9"},
+        "simulate": {"n_paths": 4000.0},
+        "stopping": {"epsilons": ["1e-2"]},
+    }
+    cfg = parse_config(raw)
+    assert (cfg.n_steps, cfg.seed, cfg.max_iter, cfg.n_paths) == (2, 7, 3, 4000)
+    assert all(type(x) is int for x in (cfg.n_steps, cfg.seed, cfg.max_iter, cfg.n_paths))
+    assert (cfg.horizon, cfg.tol, cfg.epsilons) == (1.0, 1e-9, ((0.01, "1e-2"),))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", _write(tmp_path, raw), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["grid"] == {"n_steps": 2, "horizon": 1.0}
+    assert summary["config"]["seed"] == 7
+    assert "epsilon_1e-2" in summary["stopping"]
+
+
+def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
+    """``picard_solve`` checks its final iterate; ``run_checks`` reuses those checks."""
+    from rbsdetree import cli, picard
+
+    calls = []
+    for module in (cli, picard):
+        for name in ("check_skorohod", "check_equation_residual"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    raw = {
+        **BASE,
+        "grid": {"n_steps": 2, "horizon": 1.0},
+        "compensator": {"type": "linear", "rate": 0.7},
+        "mode": "picard",
+        "generator": {"family": "affine", "fa": 0.2, "fb": 0.1, "ga": 0.1, "gz": 0.1},
+        "beta": 1.2,
+    }
+    for mode_raw in (raw, BASE):
+        calls.clear()
+        out = tmp_path / mode_raw["mode"]
+        assert main(["solve", "--config", _write(tmp_path, mode_raw), "--out", str(out)]) == 0
+        assert sorted(calls) == ["check_equation_residual", "check_skorohod"]
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        assert checks["minimal_push"]["passed"] and checks["equation_residual"]["passed"]
+
+
 def test_exit_codes(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.yaml")]) == 2
     bad = _write(tmp_path, {**BASE, "mode": "mpp-only"}, "bad.yaml")
@@ -243,6 +290,13 @@ PIECEWISE = {
         ("marks", None, [1, "1"], "marks"),
         ("picard", "max_iter", 0, "picard.max_iter"),
         ("picard", "tol", 0.0, "picard.tol"),
+        ("grid", "n_steps", 2.7, "grid.n_steps"),
+        ("seed", None, 7.9, "seed"),
+        ("picard", "max_iter", 2.5, "picard.max_iter"),
+        ("simulate", "n_paths", 10.5, "simulate.n_paths"),
+        ("grid", "horizon", True, "grid.horizon"),
+        ("beta", None, True, "beta"),
+        ("out", None, 5, "out"),
     ],
 )
 def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, key, value, fieldname):

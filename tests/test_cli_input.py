@@ -1,0 +1,124 @@
+"""From argv and YAML text to a config: the loader and the argument parser."""
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rbsdetree import cli
+from rbsdetree.cli import main
+
+from test_cli import BASE, CONFIGS, _write
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+# Scalars as YAML 1.1 text: special floats, numbers YAML reads as strings
+# (1e-9), other int notations, booleans, nulls, a date and quoted text.
+SCALAR_TEXT = [
+    ".nan", ".NaN", ".inf", "-.inf", "+.inf", "-0.0", "0.0", "1.0e-9", "1e-9", "1.5e+3", "3.",
+    ".5", "0x1F", "017", "1_000", "true", "False", "no", "on", "~", "null", "abc", "'7'",
+    '"1.0e-9"', "2001-12-14",
+]
+SCALARS = st.one_of(
+    st.sampled_from(SCALAR_TEXT),
+    st.integers(-(10**12), 10**12).map(str),
+    st.floats(allow_nan=False).map(repr),
+)
+KEYS = st.sampled_from(["grid", "n_steps", "horizon", "marks", "rate", "phi", "tol", "seed", "a b", "x-1"])
+NODES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(KEYS, children, max_size=4)),
+    max_leaves=20,
+)
+DOCUMENTS = st.dictionaries(KEYS, NODES, min_size=1)
+
+
+def _flow(node) -> str:
+    if isinstance(node, dict):
+        return "{" + ", ".join(f"{k}: {_flow(v)}" for k, v in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_flow, node)) + "]"
+    return node
+
+
+def _block(node, indent="") -> list:
+    """Block-style lines of a non-empty mapping or list; empty ones stay in flow style."""
+    heads = [f"{k}:" for k in node] if isinstance(node, dict) else ["-"] * len(node)
+    values = node.values() if isinstance(node, dict) else node
+    lines = []
+    for head, value in zip(heads, values):
+        if isinstance(value, (dict, list)) and value:
+            lines.append(indent + head)
+            lines.extend(_block(value, indent + "  "))
+        else:
+            lines.append(f"{indent}{head} {_flow(value)}")
+    return lines
+
+
+def _both_loaders(text):
+    """The reprs of the libyaml and the pure-Python mapping; repr keeps nan and -0.0 apart."""
+    return [repr(yaml.load(text, Loader=loader)) for loader in (yaml.CSafeLoader, yaml.SafeLoader)]
+
+
+@needs_libyaml
+def test_libyaml_loader_builds_the_same_mapping():
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        fast, slow = _both_loaders(path.read_bytes())
+        assert fast == slow, path.name
+
+
+@needs_libyaml
+@settings(max_examples=200, deadline=None, database=None)
+@given(DOCUMENTS)
+def test_libyaml_loader_agrees_in_flow_and_block_style(doc):
+    flow, block = _flow(doc), "\n".join(_block(doc)) + "\n"
+    fast, slow = _both_loaders(flow)
+    assert fast == slow
+    assert _both_loaders(block) == [fast, fast]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"grid: {n_steps: 2, horizon: [1.0\n", b"grid: {n_steps: 1, horizon: 1.0}\nmarks: [\xff]\n", None],
+    ids=["unclosed-flow", "not-utf8", "directory"],
+)
+def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, content):
+    path = tmp_path / "bad.yaml"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "config error: --config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["solve"],
+        ["bogus", "--config", "X"],
+        ["solve", "--config", "X", "--scale", "full"],
+        ["verify", "--config", "X"],
+        ["verify", "--scale", "huge"],
+        ["solve", "--config", "X", "--seed", "abc"],
+    ],
+)
+def test_bad_command_line_exits_2(tmp_path, capsys, argv):
+    config = _write(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main([config if a == "X" else a for a in argv])
+    assert exc.value.code == 2
+    assert "usage: rbsde-tree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, scale, out",
+    [(["verify"], "small", None), (["verify", "--scale", "full", "--out", "rep"], "full", "rep")],
+)
+def test_verify_takes_scale_and_out(monkeypatch, argv, scale, out):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda *args: seen.append(args) or 0)
+    assert main(argv) == 0
+    assert seen == [(scale, None if out is None else cli.Path(out))]
