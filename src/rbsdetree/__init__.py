@@ -26,11 +26,10 @@ from .lattice import (
     TimeGrid,
     build_tree,
     cexp_level,
-    conditional_expectation,
     constant_process,
     extract_representation,
     level_expectation,
-    process_from_state,
+    representation_integrands,
 )
 from .mpp import (
     CompensatorSpec,

@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import _kernels
-from .errors import ConfigInvalid, EnumerationBudgetExceeded, RbsdeTreeError
+from .errors import BudgetExceeded, ConfigInvalid, EnumerationBudgetExceeded, RbsdeTreeError
 from .instances import affine_generators, linear_barrier, terminal_payoff
 from .lattice import DEFAULT_NODE_BUDGET, ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
@@ -231,7 +231,7 @@ def parse_config(raw: dict) -> RunConfig:
         beta=_number(raw.get("beta", 1.0), "beta", low=0.0),
         gamma=_number(raw.get("gamma", 0.0), "gamma", low=0.0),
         epsilons=tuple(zip(_numbers(eps, "stopping.epsilons", low=0.0), map(str, eps))),
-        oracle=bool(stopping.get("oracle", False)),
+        oracle="oracle" in stopping and _require(stopping, "oracle", bool, "stopping"),
         max_iter=_number(picard.get("max_iter", 40), "picard.max_iter", int, low=1),
         tol=_number(picard.get("tol", 1e-9), "picard.tol"),
         n_paths=_number(simulate.get("n_paths", 10_000), "simulate.n_paths", int, low=1),
@@ -310,13 +310,16 @@ def _kernel_checked(path: str, build, *args) -> CompensatorSpec:
 
 def build_problem(cfg: RunConfig):
     """Materialize (tree, generator spec) from a validated config."""
-    tree = build_tree(
-        TimeGrid.uniform(cfg.n_steps, cfg.horizon),
-        MarkSet(cfg.mark_labels),
-        cfg.compensator,
-        n_brownian=1 if cfg.brownian == "none" else 2,
-        budget=cfg.budget,
-    )
+    try:
+        tree = build_tree(
+            TimeGrid.uniform(cfg.n_steps, cfg.horizon),
+            MarkSet(cfg.mark_labels),
+            cfg.compensator,
+            n_brownian=1 if cfg.brownian == "none" else 2,
+            budget=cfg.budget,
+        )
+    except BudgetExceeded as exc:
+        raise ConfigInvalid("generator.budget", str(exc)) from None
     xi = terminal_payoff(tree, **cfg.terminal)
     h = linear_barrier(tree, **cfg.barrier, xi=xi)
     return tree, _build_generator(cfg, tree, xi, h)
@@ -374,6 +377,7 @@ def write_summary(out_dir: Path, summary: dict):
 
 
 CSV_CHUNK_ROWS = 1 << 14
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # odd; 2^64 over the golden ratio
 
 
 def _float_text(values) -> list:
@@ -388,55 +392,86 @@ def _float_text(values) -> list:
     return text[inverse].tolist()
 
 
+def _row_hash(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit multiplicative hash of each column of a (fields, rows) uint64 array."""
+    h = np.zeros(bits.shape[1], dtype=np.uint64)
+    for field_bits in bits:
+        h ^= field_bits
+        h *= _HASH_MULT
+        h ^= h >> np.uint64(29)
+    return h
+
+
+def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch) -> str:
+    """The text of one batch of rows, each distinct row's fields formatted once.
+
+    A row's key is the bit pattern of its fields (level, t, w, n_jumps, y, h,
+    z, u..., dk, k_cum, residual; zero where a leaf row is empty), which fix
+    all of its text but the node index.  Rows are grouped by a hash of their
+    key and every row is checked against its group's first row; if any
+    differs, every row of the batch counts as distinct.
+    """
+    m = tree.n_marks
+    keys = np.zeros((10 + m, sum(hi - lo for _, lo, hi in batch)))
+    prefixes, nodes = [], []
+    for k, lo, hi in batch:
+        rows, cols = slice(lo, hi), slice(len(nodes), len(nodes) + hi - lo)
+        keys[:2, cols] = [[k], [tree.grid.times[k]]]
+        keys[2:6, cols] = tree.w[k][rows], tree.n_jumps[k][rows], sol.y[k][rows], gen.h[k][rows]
+        if k < tree.n_steps:
+            if sol.z is not None:
+                keys[6, cols] = sol.z[k][rows]
+            keys[7:7 + m, cols] = sol.u[k][rows].T
+            keys[7 + m:, cols] = sol.dk[k][rows], sol.k_cum[k][rows], sol.residual[k][rows]
+        else:
+            keys[8 + m, cols] = sol.k_cum[k][rows]
+        prefixes += [f"{k},"] * (hi - lo)
+        nodes += map(str, range(lo, hi))
+    bits = keys.view(np.uint64)
+    first, inverse = np.unique(_row_hash(bits), return_index=True, return_inverse=True)[1:]
+    if not np.array_equal(bits[:, first[inverse]], bits):
+        first = inverse = np.arange(len(nodes))
+    distinct = keys[:, first]
+    # t, w, y, h, z, u..., dk, k_cum, residual; a leaf row leaves all but k_cum empty.
+    text = np.array(_float_text(np.delete(distinct, (0, 3), axis=0).ravel()), dtype=object)
+    text = text.reshape(8 + m, len(first))
+    text[np.ix_([*range(4, 6 + m), 7 + m], np.flatnonzero(distinct[0] == tree.n_steps))] = ""
+    jumps = map(str, distinct[3].astype(np.int64).tolist())
+    fields = zip(text[0], text[1], jumps, *text[2:])
+    tails = np.array([f",{','.join(row)}\r\n" for row in fields], dtype=object)
+    out = [None] * (3 * len(nodes))
+    out[0::3], out[1::3], out[2::3] = prefixes, nodes, tails[inverse].tolist()
+    return "".join(out)
+
+
 def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, sol):
     """One row per node, level by level; every float field is its exact repr.
 
-    Rows are built column by column in chunks of ``CSV_CHUNK_ROWS`` and end
-    in ``\\r\\n`` as ``csv.writer`` ends them; only the header, which holds
-    the user's mark labels, goes through ``csv.writer`` for quoting.  All
-    float columns of a chunk go through one ``_float_text`` call, because on
-    small trees numpy's per-call cost outweighs the formatting.
+    Rows go out in batches of up to ``CSV_CHUNK_ROWS`` that may span levels,
+    so a small tree is one batch.  Apart from its node index, a row's text
+    is fixed by the bit patterns of its fields, and a tree repeats its rows
+    (the 7-step ``picard_affine`` layout has under 600 distinct ones, level
+    by level, among its 335,923), so ``_csv_rows`` formats each distinct
+    row's tail once and writes every row as ``k,``, its node index and that
+    tail.  Rows end in ``\\r\\n`` as ``csv.writer`` ends them; only the
+    header, which holds the user's mark labels, goes through ``csv.writer``
+    for quoting.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "solution.csv"
     mark_cols = [f"u_{label}" for label in tree.marks.labels]
+    sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
+    starts = np.cumsum([0, *sizes]).tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(
             ["level", "node", "t", "w", "n_jumps", "y", "h", "z", *mark_cols, "dk", "k_cum", "residual"]
         )
-        for k in range(tree.n_steps + 1):
-            t = repr(float(tree.grid.times[k]))
-            interior = k < tree.n_steps
-            n_k = tree.level_size(k)
-            for lo in range(0, n_k, CSV_CHUNK_ROWS):
-                rows = slice(lo, min(lo + CSV_CHUNK_ROWS, n_k))
-                n = rows.stop - lo
-                floats = [tree.w[k][rows], sol.y[k][rows], gen.h[k][rows]]
-                if interior:
-                    floats.append(np.zeros(n) if sol.z is None else sol.z[k][rows])
-                    floats.extend(sol.u[k][rows].T)
-                    floats.extend(x[k][rows] for x in (sol.dk, sol.k_cum, sol.residual))
-                else:
-                    floats.append(sol.k_cum[k][rows])
-                text = _float_text(np.concatenate(floats))
-                w, y, h, *rest = (text[j * n:(j + 1) * n] for j in range(len(floats)))
-                cols = [
-                    [str(k)] * n,
-                    map(str, range(rows.start, rows.stop)),
-                    [t] * n,
-                    w,
-                    map(str, tree.n_jumps[k][rows].tolist()),
-                    y,
-                    h,
-                ]
-                if interior:
-                    cols.extend(rest)
-                else:
-                    empty = [""] * n
-                    cols.extend([empty] * (len(mark_cols) + 2))
-                    cols.extend([*rest, empty])
-                fh.write("\r\n".join(map(",".join, zip(*cols))))
-                fh.write("\r\n")
+        for lo in range(0, starts[-1], CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            # (level, first node, end node) of each level the batch of rows [lo, hi) meets.
+            batch = [(k, max(lo - s, 0), min(hi - s, n))
+                     for k, (s, n) in enumerate(zip(starts, sizes)) if s < hi and s + n > lo]
+            fh.write(_csv_rows(tree, gen, sol, batch))
     return path
 
 

@@ -10,7 +10,8 @@ order.  Levels whose compensator increment is zero carry no jump branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -229,13 +230,6 @@ def cexp_level(tree: ScenarioTree, k: int, v_next: np.ndarray) -> np.ndarray:
     return v_next.reshape(tree.level_size(k), b) @ tree.branch_prob[k]
 
 
-def conditional_expectation(tree: ScenarioTree, k: int, node: int, v_next: np.ndarray) -> float:
-    """Conditional expectation of a level-k+1 process at one level-k node."""
-    b = tree.branching(k)
-    children = v_next[node * b:(node + 1) * b]
-    return float(children @ tree.branch_prob[k])
-
-
 @dataclass(frozen=True)
 class Representation:
     """One-step martingale representation of a level-k+1 process.
@@ -243,17 +237,49 @@ class Representation:
     ``z`` is the Brownian integrand, ``u`` the mark-indexed jump integrand
     (conditional-jump differences), ``residual`` the L2 norm under the child
     measure of the part not spanned by dW and the compensated jump
-    indicators, ``branch_residual`` that part per child branch.
-    ``degenerate`` flags levels where a conditioning event had probability
-    zero and u was set to zero for every mark.
+    indicators, ``branch_residual`` that part per child branch; both are
+    None when only the integrands were asked for.  ``degenerate`` flags
+    levels where a conditioning event had probability zero and u was set to
+    zero for every mark.
     """
 
     mean: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    residual: np.ndarray
-    branch_residual: np.ndarray
     degenerate: bool
+    residual: Optional[np.ndarray] = None
+    branch_residual: Optional[np.ndarray] = None
+
+
+def representation_integrands(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Representation:
+    """The conditional mean and the integrands (z, u) of v at level k+1.
+
+    This is the part of ``extract_representation`` that the next Picard
+    sweep reads; the residual is left out.
+    """
+    n_k = tree.level_size(k)
+    vmat = v_next.reshape(n_k, tree.branching(k))
+    p = tree.branch_prob[k]
+    mark = tree.branch_mark[k]
+
+    mean = vmat @ p
+    z = (vmat @ (p * tree.branch_dw[k])) / tree.grid.steps[k] if tree.n_brownian == 2 else np.zeros(n_k)
+
+    u = np.zeros((n_k, tree.n_marks))
+    degenerate = tree.jump_prob[k] <= 0
+    if not degenerate:
+        no_jump = mark < 0
+        w0 = p * no_jump
+        cond_nojump = (vmat @ w0) / w0.sum()
+        for e in range(tree.n_marks):
+            sel = mark == e
+            we = p * sel
+            tot = we.sum()
+            if tot <= 0:
+                degenerate = True
+                continue
+            u[:, e] = (vmat @ we) / tot - cond_nojump
+    return Representation(mean=mean, z=z, u=u, degenerate=bool(degenerate))
 
 
 def extract_representation(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Representation:
@@ -263,47 +289,16 @@ def extract_representation(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Re
     q_e = (1 - exp(-dA_k)) phi_k(e).  The residual is orthogonal to dW and to
     each compensated indicator under the child measure.
     """
-    n_k = tree.level_size(k)
-    b = tree.branching(k)
-    m = tree.n_marks
-    vmat = v_next.reshape(n_k, b)
-    p = tree.branch_prob[k]
-    dw = tree.branch_dw[k]
+    rep = representation_integrands(tree, k, v_next)
     mark = tree.branch_mark[k]
-    dt = tree.grid.steps[k]
-
-    mean = vmat @ p
-    z = (vmat @ (p * dw)) / dt if tree.n_brownian == 2 else np.zeros(n_k)
-
-    u = np.zeros((n_k, m))
-    degenerate = tree.jump_prob[k] <= 0
-    if not degenerate:
-        no_jump = mark < 0
-        w0 = p * no_jump
-        cond_nojump = (vmat @ w0) / w0.sum()
-        for e in range(m):
-            sel = mark == e
-            we = p * sel
-            tot = we.sum()
-            if tot <= 0:
-                degenerate = True
-                continue
-            u[:, e] = (vmat @ we) / tot - cond_nojump
-
+    dw = tree.branch_dw[k]
     q = tree.jump_prob[k] * tree.phi[k]
-    span = z[:, None] * dw[None, :]
-    for e in range(m):
-        span = span + u[:, e, None] * ((mark == e).astype(float) - q[e])[None, :]
-    branch_residual = vmat - mean[:, None] - span
-    residual = np.sqrt(np.maximum(branch_residual**2 @ p, 0.0))
-    return Representation(
-        mean=mean,
-        z=z,
-        u=u,
-        residual=residual,
-        branch_residual=branch_residual,
-        degenerate=bool(degenerate),
-    )
+    span = rep.z[:, None] * dw[None, :]
+    for e in range(tree.n_marks):
+        span = span + rep.u[:, e, None] * ((mark == e).astype(float) - q[e])[None, :]
+    branch_residual = v_next.reshape(span.shape) - rep.mean[:, None] - span
+    residual = np.sqrt(np.maximum(branch_residual**2 @ tree.branch_prob[k], 0.0))
+    return replace(rep, residual=residual, branch_residual=branch_residual)
 
 
 def level_expectation(tree: ScenarioTree, k: int, values: np.ndarray) -> float:
@@ -319,14 +314,3 @@ def level_expectation(tree: ScenarioTree, k: int, values: np.ndarray) -> float:
 def constant_process(tree: ScenarioTree, value: float) -> NodeProcess:
     """NodeProcess equal to ``value`` at every node."""
     return [np.full(tree.level_size(k), float(value)) for k in range(tree.n_steps + 1)]
-
-
-def process_from_state(tree: ScenarioTree, fn) -> NodeProcess:
-    """NodeProcess built from fn(k, t, w, n_jumps, a) -> array of node values."""
-    out = []
-    for k in range(tree.n_steps + 1):
-        t = tree.grid.times[k]
-        a = tree.a_levels[k]
-        out.append(np.asarray(fn(k, t, tree.w[k], tree.n_jumps[k], a), dtype=float)
-                   + np.zeros(tree.level_size(k)))
-    return out

@@ -171,18 +171,20 @@ def picard_solve(
 ) -> PicardTrace:
     """Iterate the frozen-generator map from (0, 0, 0) until the move is small.
 
-    Raises NoConvergence (carrying the distance trace) if the iteration cap
-    is reached first.  The final quadruple is re-verified against the
-    minimal-push and per-branch equation residual checks.
+    A sweep computes only (Y, U, Z), which is all the next sweep and the
+    distance read; the final iterate is solved in full, push and residuals
+    included.  Raises NoConvergence (carrying the distance trace) if the
+    iteration cap is reached first.  The final quadruple is re-verified
+    against the minimal-push and per-branch equation residual checks.
     """
-    jump_only = tree.n_brownian == 1
+    solve = solve_mpp_only if tree.n_brownian == 1 else solve_given_generators
     point = init if init is not None else zero_triple(tree)
     distances = []
-    sol, frozen = None, None
+    frozen = None
     for _ in range(cfg.max_iter):
         frozen = _frozen_spec(tree, gen, point)
-        sol = solve_mpp_only(tree, frozen) if jump_only else solve_given_generators(tree, frozen)
-        new_point = Triple(y=sol.y, u=sol.u, z=sol.z)
+        sweep = solve(tree, frozen, integrands_only=True)
+        new_point = Triple(y=sweep.y, u=sweep.u, z=sweep.z)
         d = composite_distance(tree, point, new_point, cfg)
         distances.append(d)
         point = new_point
@@ -191,6 +193,7 @@ def picard_solve(
     else:
         raise NoConvergence(distances, cfg.tol)
 
+    sol = solve(tree, frozen)
     return PicardTrace(
         distances=distances,
         solution=sol,

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import BetaZero, BrownianBranchesPresent
-from .lattice import NodeProcess, ScenarioTree, cexp_level, extract_representation
+from .lattice import NodeProcess, ScenarioTree, cexp_level, extract_representation, representation_integrands
 from .snell import doob_meyer, snell_envelope
 
 SKOROHOD_TOL = 1e-12
@@ -78,49 +78,57 @@ class RbsdeSolution:
 
     ``z`` is None in jump-only mode.  ``dk[k]`` is the push increment decided
     at level k; ``k_cum`` the accumulated push (K_0 = 0).  ``residual[k]`` is
-    the per-node L2 representation residual.
+    the per-node L2 representation residual.  An integrands-only solve
+    leaves those three None.
     """
 
     y: NodeProcess
     u: NodeProcess
     z: Optional[NodeProcess]
-    dk: NodeProcess
-    k_cum: NodeProcess
-    residual: NodeProcess
+    dk: Optional[NodeProcess]
+    k_cum: Optional[NodeProcess]
+    residual: Optional[NodeProcess]
 
 
-def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian):
+def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_only):
+    """One backward pass: the representation of Y_{k+1} gives the conditional
+    mean that sets Y_k and the integrands (U_k, Z_k).  ``integrands_only``
+    stops at (Y, U, Z), with no push and no representation residual.
+    """
     n = tree.n_steps
     y = [None] * (n + 1)
     y[n] = np.asarray(xi, dtype=float).copy()
-    dk = [None] * n
+    u, z, dk, residual = ([None] * n for _ in range(4))
+    represent = representation_integrands if integrands_only else extract_representation
     for k in range(n - 1, -1, -1):
-        ytil = cexp_level(tree, k, y[k + 1]) + f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k]
-        dk[k] = np.maximum(h[k] - ytil, 0.0)
+        rep = represent(tree, k, y[k + 1])
+        ytil = rep.mean + f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k]
         # max (not ytil + dk) so reflected nodes carry Y == h bit-exactly.
         y[k] = np.maximum(ytil, h[k])
-    u, z, residual = [None] * n, [None] * n, [None] * n
-    for k in range(n):
-        rep = extract_representation(tree, k, y[k + 1])
         u[k], z[k], residual[k] = rep.u, rep.z, rep.residual
+        dk[k] = None if integrands_only else np.maximum(h[k] - ytil, 0.0)
+    full = not integrands_only
     return RbsdeSolution(
         y=y,
         u=u,
         z=z if with_brownian else None,
-        dk=dk,
-        k_cum=tree.path_sum(dk),
-        residual=residual,
+        dk=dk if full else None,
+        k_cum=tree.path_sum(dk) if full else None,
+        residual=residual if full else None,
     )
 
 
-def solve_given_generators(tree: ScenarioTree, gen: GeneratorSpec) -> RbsdeSolution:
-    """Solve the reflected equation when f and g are known processes."""
+def solve_given_generators(tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False) -> RbsdeSolution:
+    """Solve the reflected equation when f and g are known processes.
+
+    ``integrands_only`` returns Y, U and Z alone: what a fixed-point sweep reads.
+    """
     gen.validate(tree)
     f_levels, g_levels = gen.given_levels(tree)
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, with_brownian=True)
+    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, True, integrands_only)
 
 
-def solve_mpp_only(tree: ScenarioTree, gen: GeneratorSpec) -> RbsdeSolution:
+def solve_mpp_only(tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False) -> RbsdeSolution:
     """Solve the jump-only reflected equation (no Brownian component, g = 0)."""
     if tree.n_brownian != 1:
         raise BrownianBranchesPresent("tree was built with Brownian branching")
@@ -128,7 +136,7 @@ def solve_mpp_only(tree: ScenarioTree, gen: GeneratorSpec) -> RbsdeSolution:
     f_levels, g_levels = gen.given_levels(tree)
     if any(np.any(g != 0) for g in g_levels):
         raise ValueError("jump-only mode requires g identically zero")
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, with_brownian=False)
+    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, False, integrands_only)
 
 
 def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:

@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbsdetree import cli
+from rbsdetree import GeneratorSpec, RbsdeSolution, cli
 from rbsdetree.cli import _float_text, build_problem, parse_config, write_solution_csv
+from rbsdetree.instances import make_tree
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -48,16 +49,26 @@ def reference_solution_csv(path: Path, tree, gen, sol):
                 writer.writerow(row)
 
 
-def _both_writers(raw: dict):
+def _writer_bytes(tree, gen, sol, chunk=None):
+    """(new bytes, reference bytes), the new writer batching ``chunk`` rows if given."""
+    saved = cli.CSV_CHUNK_ROWS
+    cli.CSV_CHUNK_ROWS = chunk or saved
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            new = write_solution_csv(Path(tmp) / "new", tree, gen, sol).read_bytes()
+            ref = Path(tmp) / "reference.csv"
+            reference_solution_csv(ref, tree, gen, sol)
+            return new, ref.read_bytes()
+    finally:
+        cli.CSV_CHUNK_ROWS = saved
+
+
+def _both_writers(raw: dict, chunk=None):
     """(new bytes, reference bytes, solution) for the solve of ``raw``."""
     cfg = parse_config(raw)
     tree, gen = build_problem(cfg)
     sol, frozen = cli._solve(cfg, tree, gen)[:2]
-    with tempfile.TemporaryDirectory() as tmp:
-        new = write_solution_csv(Path(tmp) / "new", tree, frozen, sol).read_bytes()
-        ref = Path(tmp) / "reference.csv"
-        reference_solution_csv(ref, tree, frozen, sol)
-        return new, ref.read_bytes(), sol
+    return (*_writer_bytes(tree, frozen, sol, chunk), sol)
 
 
 coefficient = st.floats(-1.0, 1.0)
@@ -89,31 +100,70 @@ def configs(draw, mode):
     }
 
 
+chunks = st.one_of(st.none(), st.integers(1, 40))
+
+
 @SETTINGS
 @given(raw=configs("given"), chunk=st.integers(1, 40))
 def test_given_mode_matches_reference_writer(raw, chunk):
-    saved = cli.CSV_CHUNK_ROWS
-    cli.CSV_CHUNK_ROWS = chunk
-    try:
-        new, ref, _ = _both_writers(raw)
-    finally:
-        cli.CSV_CHUNK_ROWS = saved
+    new, ref, _ = _both_writers(raw, chunk)
     assert new == ref
 
 
 @SETTINGS
-@given(raw=configs("picard"))
-def test_picard_mode_matches_reference_writer(raw):
-    new, ref, _ = _both_writers(raw)
+@given(raw=configs("picard"), chunk=chunks)
+def test_picard_mode_matches_reference_writer(raw, chunk):
+    new, ref, _ = _both_writers(raw, chunk)
     assert new == ref
 
 
 @SETTINGS
-@given(raw=configs("mpp-only"))
-def test_mpp_only_mode_matches_reference_writer(raw):
-    new, ref, sol = _both_writers(raw)
+@given(raw=configs("mpp-only"), chunk=chunks)
+def test_mpp_only_mode_matches_reference_writer(raw, chunk):
+    new, ref, sol = _both_writers(raw, chunk)
     assert sol.z is None
     assert new == ref
+
+
+@SETTINGS
+@given(raw=configs("given") | configs("picard") | configs("mpp-only"), chunk=chunks)
+def test_rows_whose_hashes_all_collide_match_reference_writer(raw, chunk):
+    """With every row hashed alike, each batch falls back to formatting every row."""
+    saved = cli._row_hash
+    cli._row_hash = lambda bits: np.zeros(bits.shape[1], dtype=np.uint64)
+    try:
+        new, ref, _ = _both_writers(raw, chunk)
+    finally:
+        cli._row_hash = saved
+    assert new == ref
+
+
+def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
+    """Nodes 1 and 2 of each level share every field but the sign of one zero."""
+    tree = make_tree(2, 1.0, ("a", "b"), rate=0.9, n_brownian=1)
+    sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
+    assert tree.n_jumps[1][1] == tree.n_jumps[1][2] and tree.n_jumps[2][1] == tree.n_jumps[2][2]
+
+    def signed_zeros(n):
+        x = np.zeros(n)
+        x[2:3] = -0.0
+        return x
+
+    sol = RbsdeSolution(
+        y=[signed_zeros(n) for n in sizes],
+        u=[np.full((n, 2), 0.25) for n in sizes[:-1]],
+        z=None,
+        dk=[signed_zeros(n) for n in sizes[:-1]],
+        k_cum=[np.full(n, 1.5) for n in sizes],
+        residual=[np.zeros(n) for n in sizes[:-1]],
+    )
+    gen = GeneratorSpec(xi=np.zeros(sizes[-1]), h=[np.full(n, -1.0) for n in sizes])
+    for chunk in (None, 2, 3, 7):
+        new, ref = _writer_bytes(tree, gen, sol, chunk)
+        assert new == ref
+        lines = new.decode().split("\r\n")
+        assert lines[3].startswith("1,1,0.5,0.0,1,0.0,") and lines[4].startswith("1,2,0.5,0.0,1,-0.0,")
+        assert lines[6].startswith("2,1,1.0,0.0,1,0.0,") and lines[7].startswith("2,2,1.0,0.0,1,-0.0,")
 
 
 def test_mark_label_with_comma_is_quoted_in_header():

@@ -377,3 +377,33 @@ def test_picard_norms_weight_bound_checks_the_frozen_f(tmp_path):
     assert main(["norms", "--config", str(config), "--out", str(out)]) == 0
     bound = json.loads((out / "summary.json").read_text())["cauchy_weight_bound"]
     assert 0.0 < bound["lhs"] <= bound["rhs"]
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_stopping_oracle_must_be_a_yaml_bool(tmp_path, capsys, value):
+    raw = {**BASE, "stopping": {"epsilons": [0.1], "oracle": value}}
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 2 and "stopping.oracle" in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_stopping_oracle_bool_decides_the_oracle_record(tmp_path, value):
+    raw = {**BASE, "stopping": {"epsilons": [0.1], "oracle": value}}
+    out = tmp_path / "run"
+    assert main(["solve", "--config", _write(tmp_path, raw), "--out", str(out)]) == 0
+    stopping = json.loads((out / "summary.json").read_text())["stopping"]
+    assert ("oracle" in stopping) is value
+
+
+def test_generator_budget_below_the_tree_size_exits_2(tmp_path, capsys):
+    """BASE is a one-step binomial tree without jumps: 3 nodes."""
+    for budget in (0, 2):
+        raw = {**BASE, "generator": {"budget": budget}}
+        code, err = _exit_and_error(tmp_path, capsys, raw)
+        assert code == 2 and "generator.budget" in err and "tree needs 3 nodes" in err
+        assert not (tmp_path / "run" / "summary.json").exists()
+    raw = {**BASE, "generator": {"budget": 3}}
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 0 and err == ""
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["tree"]["level_sizes"] == [1, 2]

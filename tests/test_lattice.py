@@ -8,11 +8,10 @@ from rbsdetree import (
     TimeGrid,
     build_tree,
     cexp_level,
-    conditional_expectation,
     constant_process,
     extract_representation,
     level_expectation,
-    process_from_state,
+    representation_integrands,
 )
 from rbsdetree.instances import make_tree
 
@@ -81,9 +80,8 @@ def test_tower_property():
     for k in range(tree.n_steps - 1, -1, -1):
         nested = cexp_level(tree, k, nested)
     assert nested[0] == pytest.approx(level_expectation(tree, tree.n_steps, v), abs=1e-12)
-    assert conditional_expectation(tree, 2, 5, v) == pytest.approx(
-        cexp_level(tree, 2, v)[5], abs=1e-14
-    )
+    b = tree.branching(2)
+    assert v[5 * b:6 * b] @ tree.branch_prob[2] == pytest.approx(cexp_level(tree, 2, v)[5], abs=1e-14)
 
 
 def test_ancestor_and_repeat_roundtrip():
@@ -132,8 +130,7 @@ def test_process_helpers():
     tree = make_tree(2, 1.0, ("a",), rate=0.5)
     ones = constant_process(tree, 1.0)
     assert all(np.all(x == 1.0) for x in ones)
-    w = process_from_state(tree, lambda k, t, w, n, a: w + n)
-    assert np.allclose(w[2], tree.w[2] + tree.n_jumps[2])
+    assert [len(x) for x in ones] == [tree.level_size(k) for k in range(tree.n_steps + 1)]
 
 
 def test_degenerate_levels_flagged():
@@ -144,3 +141,17 @@ def test_degenerate_levels_flagged():
     tree = make_tree(2, 1.0, ("a",), rate=1.0)
     rep = extract_representation(tree, 0, np.arange(tree.level_size(1), dtype=float))
     assert not rep.degenerate
+
+
+@pytest.mark.parametrize("rate, n_brownian", [(1.1, 2), (0.0, 2), (0.8, 1)])
+def test_integrands_are_those_of_the_full_representation(rate, n_brownian):
+    tree = make_tree(3, 1.0, ("a", "b"), rate=rate, n_brownian=n_brownian)
+    rng = np.random.default_rng(3)
+    for k in range(tree.n_steps):
+        v = rng.normal(size=tree.level_size(k + 1))
+        full, part = extract_representation(tree, k, v), representation_integrands(tree, k, v)
+        for name in ("mean", "z", "u"):
+            assert getattr(full, name).tobytes() == getattr(part, name).tobytes()
+        assert full.degenerate == part.degenerate
+        assert part.residual is None and part.branch_residual is None
+        assert full.residual.shape == (tree.level_size(k),)

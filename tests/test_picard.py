@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbsdetree import (
     BetaTooSmall,
@@ -10,10 +14,12 @@ from rbsdetree import (
     composite_distance,
     picard_solve,
     select_contraction_parameters,
+    solve_given_generators,
+    solve_mpp_only,
     zero_triple,
 )
 from rbsdetree.instances import random_picard_instance
-from rbsdetree.picard import ALPHA_MAX
+from rbsdetree.picard import ALPHA_MAX, _frozen_spec
 from rbsdetree.verify import fixture_linear_fixed_point
 
 
@@ -158,3 +164,75 @@ def test_composite_distance_triangle_inequality():
         assert composite_distance(tree, a, c, cfg) <= composite_distance(
             tree, a, b, cfg
         ) + composite_distance(tree, b, c, cfg) + 1e-12
+
+
+SWEEP_SETTINGS = settings(max_examples=30, deadline=None, database=None)
+
+
+def _instance(seed, n_brownian):
+    tree, gen = random_picard_instance(np.random.default_rng(seed), n_brownian=n_brownian)
+    lip = gen.lipschitz
+    return tree, gen, select_contraction_parameters(lip, lip.l_u**2 + 2 * lip.l_f + 0.5, max_iter=200)
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def _full_solve_loop(tree, gen, cfg):
+    """The sweep loop with a full solve per sweep: the distances it reports."""
+    solve = solve_mpp_only if tree.n_brownian == 1 else solve_given_generators
+    point = zero_triple(tree)
+    distances = []
+    for _ in range(cfg.max_iter):
+        sol = solve(tree, _frozen_spec(tree, gen, point))
+        new_point = Triple(y=sol.y, u=sol.u, z=sol.z)
+        distances.append(composite_distance(tree, point, new_point, cfg))
+        point = new_point
+        if distances[-1] <= cfg.tol:
+            return distances, sol
+    raise NoConvergence(distances, cfg.tol)
+
+
+@SWEEP_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n_brownian=st.sampled_from([1, 2]))
+def test_final_solution_is_the_full_solve_of_its_frozen_spec(seed, n_brownian):
+    tree, gen, cfg = _instance(seed, n_brownian)
+    trace = picard_solve(tree, gen, cfg)
+    solve = solve_mpp_only if n_brownian == 1 else solve_given_generators
+    direct = solve(tree, trace.frozen_spec)
+    sol = trace.solution
+    for name in ("y", "u", "dk", "k_cum", "residual"):
+        assert _same_bits(getattr(sol, name), getattr(direct, name)), name
+    assert sol.z is None if n_brownian == 1 else _same_bits(sol.z, direct.z)
+
+
+@SWEEP_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n_brownian=st.sampled_from([1, 2]))
+def test_distances_are_those_of_a_loop_of_full_solves(seed, n_brownian):
+    tree, gen, cfg = _instance(seed, n_brownian)
+    trace = picard_solve(tree, gen, cfg)
+    distances, sol = _full_solve_loop(tree, gen, cfg)
+    assert trace.distances == distances
+    assert _same_bits(trace.solution.y, sol.y) and _same_bits(trace.solution.k_cum, sol.k_cum)
+
+
+def test_a_sweep_whose_generator_turns_nan_raises():
+    tree, gen, cfg = _instance(5, 2)
+    calls = []
+
+    def f_state(tree_, k, y, u):
+        calls.append(k)
+        out = gen.f_state(tree_, k, y, u)
+        return out if len(calls) <= tree.n_steps else np.full_like(out, np.nan)
+
+    with pytest.raises(ValueError, match="f_levels has a non-finite value"):
+        picard_solve(tree, replace(gen, f_state=f_state), cfg)
+    assert len(calls) == 2 * tree.n_steps
+
+
+def test_jump_only_sweep_rejects_a_nonzero_g():
+    tree, gen, cfg = _instance(6, 1)
+    g_state = lambda tree_, k, y, z: np.full(tree_.level_size(k), 0.1)  # noqa: E731
+    with pytest.raises(ValueError, match="g identically zero"):
+        picard_solve(tree, replace(gen, g_state=g_state), cfg)
