@@ -402,18 +402,23 @@ def _row_hash(bits: np.ndarray) -> np.ndarray:
     return h
 
 
-def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch) -> str:
-    """The text of one batch of rows, each distinct row's fields formatted once.
+_DIGITS = [str(r) for r in range(1000)]  # node index text below 1000
+_PADDED = [f"{r:03d}" for r in range(1000)]  # last three digits after a "k,q" head
+
+
+def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch, memo: dict) -> str:
+    """The text of one batch of rows; ``memo`` maps a row's key bytes to its tail.
 
     A row's key is the bit pattern of its fields (level, t, w, n_jumps, y, h,
     z, u..., dk, k_cum, residual; zero where a leaf row is empty), which fix
     all of its text but the node index.  Rows are grouped by a hash of their
-    key and every row is checked against its group's first row; if any
-    differs, every row of the batch counts as distinct.
+    key and every row is checked against its group's representative, any
+    member of the group; if any differs, every row of the batch counts as
+    distinct.  Only keys missing from ``memo`` are formatted.
     """
     m = tree.n_marks
     keys = np.zeros((10 + m, sum(hi - lo for _, lo, hi in batch)))
-    prefixes, nodes = [], []
+    heads, nodes = [], []
     for k, lo, hi in batch:
         rows, cols = slice(lo, hi), slice(len(nodes), len(nodes) + hi - lo)
         keys[:2, cols] = [[k], [tree.grid.times[k]]]
@@ -425,22 +430,32 @@ def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch) -> str:
             keys[7 + m:, cols] = sol.dk[k][rows], sol.k_cum[k][rows], sol.residual[k][rows]
         else:
             keys[8 + m, cols] = sol.k_cum[k][rows]
-        prefixes += [f"{k},"] * (hi - lo)
-        nodes += map(str, range(lo, hi))
+        for q in range(lo // 1000, (hi - 1) // 1000 + 1):
+            a, b = max(lo - 1000 * q, 0), min(hi - 1000 * q, 1000)
+            heads += [f"{k},{q}" if q else f"{k},"] * (b - a)
+            nodes += (_PADDED if q else _DIGITS)[a:b]
     bits = keys.view(np.uint64)
-    first, inverse = np.unique(_row_hash(bits), return_index=True, return_inverse=True)[1:]
-    if not np.array_equal(bits[:, first[inverse]], bits):
+    h = _row_hash(bits)
+    order = h.argsort()
+    starts = np.concatenate(([True], h[order[1:]] != h[order[:-1]]))
+    first, inverse = order[starts], np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    if not (bits.take(first[inverse], axis=1) == bits).all():
         first = inverse = np.arange(len(nodes))
     distinct = keys[:, first]
+    names = np.ascontiguousarray(distinct.T).view(f"V{keys.itemsize * len(keys)}").ravel().tolist()
+    fresh = [j for j, name in enumerate(names) if name not in memo]
+    new = distinct[:, fresh]
     # t, w, y, h, z, u..., dk, k_cum, residual; a leaf row leaves all but k_cum empty.
-    text = np.array(_float_text(np.delete(distinct, (0, 3), axis=0).ravel()), dtype=object)
-    text = text.reshape(8 + m, len(first))
-    text[np.ix_([*range(4, 6 + m), 7 + m], np.flatnonzero(distinct[0] == tree.n_steps))] = ""
-    jumps = map(str, distinct[3].astype(np.int64).tolist())
+    text = np.array(_float_text(np.delete(new, (0, 3), axis=0).ravel()), dtype=object)
+    text = text.reshape(8 + m, len(fresh))
+    text[np.ix_([*range(4, 6 + m), 7 + m], np.flatnonzero(new[0] == tree.n_steps))] = ""
+    jumps = map(str, new[3].astype(np.int64).tolist())
     fields = zip(text[0], text[1], jumps, *text[2:])
-    tails = np.array([f",{','.join(row)}\r\n" for row in fields], dtype=object)
+    memo.update(zip([names[j] for j in fresh], [f",{','.join(row)}\r\n" for row in fields]))
+    tails = np.array([memo[name] for name in names], dtype=object)
     out = [None] * (3 * len(nodes))
-    out[0::3], out[1::3], out[2::3] = prefixes, nodes, tails[inverse].tolist()
+    out[0::3], out[1::3], out[2::3] = heads, nodes, tails[inverse].tolist()
     return "".join(out)
 
 
@@ -449,19 +464,23 @@ def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, so
 
     Rows go out in batches of up to ``CSV_CHUNK_ROWS`` that may span levels,
     so a small tree is one batch.  Apart from its node index, a row's text
-    is fixed by the bit patterns of its fields, and a tree repeats its rows
-    (the 7-step ``picard_affine`` layout has under 600 distinct ones, level
-    by level, among its 335,923), so ``_csv_rows`` formats each distinct
-    row's tail once and writes every row as ``k,``, its node index and that
-    tail.  Rows end in ``\\r\\n`` as ``csv.writer`` ends them; only the
-    header, which holds the user's mark labels, goes through ``csv.writer``
-    for quoting.
+    is fixed by its fields' bits, and a tree repeats its rows (the 7-step
+    ``picard_affine`` tree has under 600 distinct ones among 335,923).  Each
+    row joins three existing strings: a head (``"k,"``, or ``"k,q"`` for
+    nodes 1000q to 1000q + 999) shared by a thousand rows, the last digits
+    from a fixed table, and a tail formatted once per file (a dict keyed by
+    the row's bits).  Rows are grouped by numpy's default sort of a row
+    hash; any member may stand for its group, as every row is checked bit
+    for bit against it.
+    Rows end in ``\\r\\n`` as ``csv.writer`` ends them; only the header, which
+    holds the user's mark labels, goes through ``csv.writer`` for quoting.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "solution.csv"
     mark_cols = [f"u_{label}" for label in tree.marks.labels]
     sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
     starts = np.cumsum([0, *sizes]).tolist()
+    memo = {}
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(
             ["level", "node", "t", "w", "n_jumps", "y", "h", "z", *mark_cols, "dk", "k_cum", "residual"]
@@ -471,7 +490,7 @@ def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, so
             # (level, first node, end node) of each level the batch of rows [lo, hi) meets.
             batch = [(k, max(lo - s, 0), min(hi - s, n))
                      for k, (s, n) in enumerate(zip(starts, sizes)) if s < hi and s + n > lo]
-            fh.write(_csv_rows(tree, gen, sol, batch))
+            fh.write(_csv_rows(tree, gen, sol, batch, memo))
     return path
 
 
@@ -752,6 +771,8 @@ def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(scale: str, out_dir: Optional[Path]) -> int:
+    if out_dir is not None:
+        _make_out_dir(out_dir, "--out")
     results = run_all(scale)
     report = format_report(results)
     print(report)
@@ -771,6 +792,15 @@ def cmd_verify(scale: str, out_dir: Optional[Path]) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+def _make_out_dir(out_dir: Path, name: str) -> Path:
+    """Create ``out_dir`` if missing; ConfigInvalid at ``name`` if it cannot be a directory."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(name, f"cannot create directory {str(out_dir)!r}: {exc.strerror}") from None
+    return out_dir
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser; ``main`` checks which options go with the verb."""
     parser = argparse.ArgumentParser(
@@ -809,7 +839,9 @@ def main(argv=None) -> int:
             "simulate": cmd_simulate,
             "norms": cmd_norms,
         }[args.verb]
-        return handler(cfg, Path(args.out or cfg.out or "out"))
+        # Before any work, so that a bad path never costs a solve.
+        name = "out" if cfg.out and not args.out else "--out"
+        return handler(cfg, _make_out_dir(Path(args.out or cfg.out or "out"), name))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

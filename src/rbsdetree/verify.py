@@ -243,7 +243,7 @@ def criterion_majorant(scale: str = "small"):
 
 
 # ---------------------------------------------------------------------------
-# 8. Representation residuals: exact for separable data, O(dt) for cross terms.
+# 8. Representation residuals: exact for separable data, closed form for cross terms.
 # ---------------------------------------------------------------------------
 def _separable_instance(rng, kind: int):
     """Instance whose branchwise values stay inside the representable span."""
@@ -267,11 +267,27 @@ def _separable_instance(rng, kind: int):
     return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_levels)
 
 
-def _cross_instance(n_steps: int, wn: float = 1.0):
-    tree = make_tree(n_steps, 1.0, ("e1",), rate=0.8)
+CROSS_RATE = 0.8  # jump rate of the criterion-8 cross instance
+
+
+def _cross_instance(n_steps: int, wn: float = 1.0, rate: float = CROSS_RATE):
+    tree = make_tree(n_steps, 1.0, ("e1",), rate=rate)
     xi = terminal_payoff(tree, wn=wn)
     h = linear_barrier(tree, base=-100.0, leaf_slack=100.0, xi=xi)
     return tree, GeneratorSpec(xi=xi, h=h)
+
+
+def _cross_peak_residual(n_steps: int) -> float:
+    """The exact representation residual of every node of ``_cross_instance``.
+
+    Over one step of length dt, the payoff W_T N_T moves by terms in 1, dW
+    and the jump indicator dN, which the representation spans, plus the
+    product dW (dN - q) with q = P(jump) = 1 - e^{-CROSS_RATE dt}.  That
+    product is orthogonal to the span, and its L2 norm is sqrt(dt q (1 - q)).
+    """
+    dt = 1.0 / n_steps
+    q = -np.expm1(-CROSS_RATE * dt)
+    return float(np.sqrt(dt * q * (1.0 - q)))
 
 
 @_timed("representation residuals")
@@ -287,18 +303,21 @@ def criterion_representation(scale: str = "small"):
         )
 
     worst_cmean = 0.0
-    peaks = []
+    peaks, predicted = [], []
     for n_steps in (4, 8):
         tree, gen = _cross_instance(n_steps)
         sol = solve_given_generators(tree, gen)
         rep = check_equation_residual(tree, sol, gen)
         worst_cmean = max(worst_cmean, rep.max_conditional_mean)
         peaks.append(max(float(np.max(r)) for r in sol.residual))
-    shrink = peaks[0] / peaks[1]
-    ok = worst_sep <= 1e-12 and worst_cmean <= 1e-10 and shrink >= 1.8
+        predicted.append(_cross_peak_residual(n_steps))
+    gap = max(abs(a - b) for a, b in zip(peaks, predicted))
+    ok = worst_sep <= 1e-12 and worst_cmean <= 1e-10 and gap <= 1e-12
     return ok, (
         f"separable residual = {worst_sep:.3e} (tol 1e-12), cross-term conditional "
-        f"mean = {worst_cmean:.3e} (tol 1e-10), refinement shrink = {shrink:.2f}x (need 1.8x)"
+        f"mean = {worst_cmean:.3e} (tol 1e-10), cross-term peak residual at N = 4, 8 = "
+        f"{peaks[0]:.6f}, {peaks[1]:.6f}, predicted sqrt(dt q(1-q)) with q = 1 - e^(-{CROSS_RATE} dt) "
+        f"= {predicted[0]:.6f}, {predicted[1]:.6f} (gap {gap:.1e}, tol 1e-12)"
     )
 
 

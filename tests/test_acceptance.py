@@ -56,8 +56,16 @@ def test_acceptance_7_a_priori_majorant():
 
 
 def test_acceptance_8_representation_residuals():
-    # exact for separable data; O(dt) decay for cross-term payoffs
+    # exact for separable data; cross-term peak residual sqrt(dt q(1-q)) to 1e-12
     _run(verify.criterion_representation)
+
+
+def test_acceptance_8_fails_when_the_cross_instance_leaves_its_closed_form(monkeypatch):
+    real = verify._cross_instance
+    monkeypatch.setattr(verify, "_cross_instance", lambda n_steps: real(n_steps, rate=0.81))
+    result = verify.criterion_representation("small")
+    assert not result.passed, result.line
+    assert "predicted sqrt(dt q(1-q))" in result.detail
 
 
 def test_acceptance_9_hand_fixtures():

@@ -3,8 +3,10 @@
 import csv
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,13 +51,15 @@ def reference_solution_csv(path: Path, tree, gen, sol):
                 writer.writerow(row)
 
 
-def _writer_bytes(tree, gen, sol, chunk=None):
-    """(new bytes, reference bytes), the new writer batching ``chunk`` rows if given."""
+def _writer_bytes(tree, gen, sol, chunk=None, reference=True):
+    """(new bytes, reference bytes or None), the new writer batching ``chunk`` rows if given."""
     saved = cli.CSV_CHUNK_ROWS
     cli.CSV_CHUNK_ROWS = chunk or saved
     try:
         with tempfile.TemporaryDirectory() as tmp:
             new = write_solution_csv(Path(tmp) / "new", tree, gen, sol).read_bytes()
+            if not reference:
+                return new, None
             ref = Path(tmp) / "reference.csv"
             reference_solution_csv(ref, tree, gen, sol)
             return new, ref.read_bytes()
@@ -125,21 +129,38 @@ def test_mpp_only_mode_matches_reference_writer(raw, chunk):
     assert new == ref
 
 
+def _writers_with_row_hash(row_hash, raw, chunk):
+    """(new bytes, reference bytes) for ``raw`` with ``row_hash`` as the writer's row hash."""
+    saved = cli._row_hash
+    cli._row_hash = row_hash
+    try:
+        return _both_writers(raw, chunk)[:2]
+    finally:
+        cli._row_hash = saved
+
+
 @SETTINGS
 @given(raw=configs("given") | configs("picard") | configs("mpp-only"), chunk=chunks)
 def test_rows_whose_hashes_all_collide_match_reference_writer(raw, chunk):
     """With every row hashed alike, each batch falls back to formatting every row."""
-    saved = cli._row_hash
-    cli._row_hash = lambda bits: np.zeros(bits.shape[1], dtype=np.uint64)
-    try:
-        new, ref, _ = _both_writers(raw, chunk)
-    finally:
-        cli._row_hash = saved
+    new, ref = _writers_with_row_hash(lambda bits: np.zeros(bits.shape[1], dtype=np.uint64), raw, chunk)
+    assert new == ref
+
+
+@SETTINGS
+@given(raw=configs("given") | configs("picard") | configs("mpp-only"), chunk=chunks)
+def test_rows_whose_hashes_collide_within_a_level_match_reference_writer(raw, chunk):
+    """With only the level hashed, a batch falls back when one of its levels has unequal rows."""
+    new, ref = _writers_with_row_hash(lambda bits: bits[0].copy(), raw, chunk)
     assert new == ref
 
 
 def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
-    """Nodes 1 and 2 of each level share every field but the sign of one zero."""
+    """Nodes 1 and 2 of each level share every field but the sign of one zero.
+
+    With 1 or 3 rows per batch, nodes 1 and 2 of level 1 (file rows 2 and 3)
+    fall into different batches, so the per-file row memo must tell them apart.
+    """
     tree = make_tree(2, 1.0, ("a", "b"), rate=0.9, n_brownian=1)
     sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
     assert tree.n_jumps[1][1] == tree.n_jumps[1][2] and tree.n_jumps[2][1] == tree.n_jumps[2][2]
@@ -158,12 +179,27 @@ def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
         residual=[np.zeros(n) for n in sizes[:-1]],
     )
     gen = GeneratorSpec(xi=np.zeros(sizes[-1]), h=[np.full(n, -1.0) for n in sizes])
-    for chunk in (None, 2, 3, 7):
+    for chunk in (None, 1, 2, 3, 7):
         new, ref = _writer_bytes(tree, gen, sol, chunk)
         assert new == ref
         lines = new.decode().split("\r\n")
         assert lines[3].startswith("1,1,0.5,0.0,1,0.0,") and lines[4].startswith("1,2,0.5,0.0,1,-0.0,")
         assert lines[6].startswith("2,1,1.0,0.0,1,0.0,") and lines[7].startswith("2,2,1.0,0.0,1,-0.0,")
+
+
+def _leaf_rows(lo: int, hi: int):
+    """The text ``_csv_rows`` gives rows [lo, hi) of a one-level tree with ``hi`` leaves."""
+    n = np.broadcast_to(0.0, hi)
+    tree = SimpleNamespace(n_marks=1, n_steps=0, grid=SimpleNamespace(times=[0.0]), w=[n], n_jumps=[n])
+    sol = SimpleNamespace(y=[n], k_cum=[n])
+    return cli._csv_rows(tree, SimpleNamespace(h=[n]), sol, [(0, lo, hi)], {}).split("\r\n")[:-1]
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 7), (990, 2010), (999_990, 1_000_011), (12_345_670, 12_345_680)])
+def test_node_index_text_is_str_of_the_index(lo, hi):
+    rows = _leaf_rows(lo, hi)
+    assert [row.split(",")[1] for row in rows] == [str(i) for i in range(lo, hi)]
+    assert all(row == f"0,{i},0.0,0.0,0,0.0,0.0,,,,0.0," for i, row in zip(range(lo, hi), rows))
 
 
 def test_mark_label_with_comma_is_quoted_in_header():
@@ -179,18 +215,50 @@ def test_mark_label_with_comma_is_quoted_in_header():
     assert new == ref
 
 
+LEAF_HEAVY = {
+    "grid": {"n_steps": 8, "horizon": 1.0},
+    "marks": ["e1"],
+    "compensator": {"type": "linear", "rate": 0.9},
+    "terminal": {"w": 1.0, "n": -0.3},
+    "barrier": {"base": 0.1, "w": 0.2, "leaf_slack": 0.1},
+    "generator": {"f": {"const": 0.3, "tanh_w": -0.2}},
+}
+
+
 def test_leaf_level_larger_than_one_chunk():
-    raw = {
-        "grid": {"n_steps": 8, "horizon": 1.0},
-        "marks": ["e1"],
-        "compensator": {"type": "linear", "rate": 0.9},
-        "terminal": {"w": 1.0, "n": -0.3},
-        "barrier": {"base": 0.1, "w": 0.2, "leaf_slack": 0.1},
-        "generator": {"f": {"const": 0.3, "tanh_w": -0.2}},
-    }
-    new, ref, sol = _both_writers(raw)
+    new, ref, sol = _both_writers(LEAF_HEAVY)
     assert len(sol.y[-1]) > cli.CSV_CHUNK_ROWS
     assert new == ref
+
+
+def _leaf_heavy_problem():
+    """The 8-step, 65,536-leaf problem of ``test_leaf_level_larger_than_one_chunk``."""
+    cfg = parse_config(LEAF_HEAVY)
+    tree, gen = build_problem(cfg)
+    sol, frozen = cli._solve(cfg, tree, gen)[:2]
+    assert tree.n_leaves == 65_536
+    return tree, frozen, sol
+
+
+def test_batches_that_split_thousand_blocks_and_levels_match_reference_writer():
+    tree, gen, sol = _leaf_heavy_problem()
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = Path(tmp) / "reference.csv"
+        reference_solution_csv(ref, tree, gen, sol)
+        ref = ref.read_bytes()
+    for chunk in (999, 1001, 4097):
+        assert _writer_bytes(tree, gen, sol, chunk, reference=False)[0] == ref
+
+
+def test_each_distinct_row_is_formatted_once_per_file(monkeypatch):
+    tree, gen, sol = _leaf_heavy_problem()
+    formatted = []
+    real = cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda v: formatted.append(len(v)) or real(v))
+    new = _writer_bytes(tree, gen, sol, 999, reference=False)[0]
+    # A row's text after its node index, with its level, is fixed by its bits.
+    distinct = {(row.split(",", 2)[0], row.split(",", 2)[2]) for row in new.decode().split("\r\n")[1:-1]}
+    assert sum(formatted) == len(distinct) * (8 + tree.n_marks)
 
 
 SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-05, 1e16, 0.1, 123456789.0]

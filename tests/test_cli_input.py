@@ -122,3 +122,30 @@ def test_verify_takes_scale_and_out(monkeypatch, argv, scale, out):
     monkeypatch.setattr(cli, "cmd_verify", lambda *args: seen.append(args) or 0)
     assert main(argv) == 0
     assert seen == [(scale, None if out is None else cli.Path(out))]
+
+
+@pytest.mark.parametrize(
+    "out, from_config, fieldname",
+    [("file", False, "--out"), ("file/sub", False, "--out"), ("file", True, "out")],
+    ids=["existing-file", "below-a-file", "from-config"],
+)
+def test_unusable_output_path_exits_2_before_the_solve(tmp_path, capsys, monkeypatch, out, from_config, fieldname):
+    (tmp_path / "file").write_text("not a directory\n")
+    solves = []
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: solves.append(cfg))
+    out = str(tmp_path / out)
+    config = _write(tmp_path, {**BASE, "out": out} if from_config else BASE)
+    code = main(["solve", "--config", config] + ([] if from_config else ["--out", out]))
+    assert code == 2 and f"config error: {fieldname}: cannot create directory" in capsys.readouterr().err
+    assert solves == []
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_verify_with_unusable_output_path_exits_2_before_the_criteria(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("")
+    runs = []
+    monkeypatch.setattr(cli, "run_all", lambda scale: runs.append(scale))
+    assert main(["verify", "--out", str(tmp_path / out)]) == 2
+    assert "config error: --out: cannot create directory" in capsys.readouterr().err
+    assert runs == []
