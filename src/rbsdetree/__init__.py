@@ -26,7 +26,6 @@ from .lattice import (
     TimeGrid,
     build_tree,
     cexp_level,
-    constant_process,
     extract_representation,
     level_expectation,
     representation_integrands,
@@ -35,7 +34,6 @@ from .mpp import (
     CompensatorSpec,
     MarkSet,
     MppPath,
-    compensated_integral,
     counting_process,
     simulate_path,
 )

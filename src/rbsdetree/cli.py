@@ -187,10 +187,6 @@ def parse_config(raw: dict) -> RunConfig:
     family = gen.get("family", "given")
     if family not in FAMILIES:
         raise ConfigInvalid("generator.family", f"must be one of {FAMILIES}")
-    if mode == "picard" and family == "given":
-        raise ConfigInvalid(
-            "generator.family", "picard mode needs an affine or clipped-affine family"
-        )
     affine = None
     if family != "given":
         affine = {k: _number(gen.get(k, 0.0), f"generator.{k}") for k in ("fa", "fb", "ga", "gz")}
@@ -199,6 +195,10 @@ def parse_config(raw: dict) -> RunConfig:
         if "clip" not in gen:
             raise ConfigInvalid("generator.clip", "clipped-affine family needs a clip bound")
         affine["clip"] = _number(gen["clip"], "generator.clip")
+    # Only the fixed-point solver reads a state-dependent family.
+    if (mode == "picard") != (family != "given"):
+        need = "an affine or clipped-affine" if mode == "picard" else "the given"
+        raise ConfigInvalid("generator.family", f"{mode} mode needs {need} family")
 
     terminal = _mapping(raw, "terminal")
     barrier = _mapping(raw, "barrier")
@@ -508,17 +508,10 @@ def write_trace_csv(out_dir: Path, distances):
 # ---------------------------------------------------------------------------
 # Checks shared by the solve-family verbs
 # ---------------------------------------------------------------------------
-def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float, trace=None) -> dict:
-    """Every applicable invariant check with its verdict and diagnostics.
-
-    A Picard ``trace`` already holds the minimal-push and residual checks of
-    its final iterate, made with these same arguments; they are not redone.
-    """
-    if trace is None:
-        sk = check_skorohod(tree, sol, gen.h)
-        eq = check_equation_residual(tree, sol, frozen)
-    else:
-        sk, eq = trace.skorohod, trace.equation
+def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
+    """Every applicable invariant check with its verdict and diagnostics."""
+    sk = check_skorohod(tree, sol, gen.h)
+    eq = check_equation_residual(tree, sol, frozen)
     checks = {
         "minimal_push": {
             "passed": bool(sk.passed),
@@ -537,17 +530,17 @@ def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float, trace=None) -
             "max_gap": float(np.max(np.abs(sol.y[-1] - gen.xi))),
         },
     }
-    if frozen.is_given:
-        y, dec = solve_via_snell(tree, frozen)
-        gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
-        from .rbsde import reward_process
+    # ``frozen`` is a known-generator spec in every mode, so the envelope route applies.
+    y, dec = solve_via_snell(tree, frozen)
+    gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
+    from .rbsde import reward_process
 
-        support = envelope_jump_support(tree, dec, reward_process(tree, frozen))
-        checks["route_equivalence"] = {"passed": bool(gap <= 1e-10), "max_gap": gap}
-        checks["push_only_on_contact"] = {
-            "passed": not support,
-            "violations": [list(v) for v in support[:10]],
-        }
+    support = envelope_jump_support(tree, dec, reward_process(tree, frozen))
+    checks["route_equivalence"] = {"passed": bool(gap <= 1e-10), "max_gap": gap}
+    checks["push_only_on_contact"] = {
+        "passed": not support,
+        "violations": [list(v) for v in support[:10]],
+    }
     if beta > 0:
         viols = a_priori_majorant(tree, frozen, sol, beta=beta)
         checks["a_priori_majorant"] = {
@@ -565,7 +558,6 @@ def _certificate_record(tree, cert) -> dict:
             [k, int(i)] for k in range(tree.n_steps) for i in np.flatnonzero(cert.best_rule.stop[k])
         ],
         "n_interior": cert.n_interior,
-        "epsilon": cert.epsilon,
     }
 
 
@@ -641,7 +633,7 @@ def _solve(cfg: RunConfig, tree: ScenarioTree, gen: GeneratorSpec):
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     tree, gen = build_problem(cfg)
     sol, frozen, contraction, trace = _solve(cfg, tree, gen)
-    checks = run_checks(tree, gen, sol, frozen, cfg.beta, trace)
+    checks = run_checks(tree, gen, sol, frozen, cfg.beta)
     stopping = run_stopping(tree, frozen, sol, cfg.epsilons, cfg.oracle)
     verdicts = {}
     summary = {
@@ -651,7 +643,6 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "y0": float(sol.y[0][0]),
     }
     if trace is not None:
-        verdicts["picard.converged"] = bool(trace.converged)
         bound = contraction.alpha + 0.05
         late = [r for d, r in zip(trace.distances[1:], trace.ratios[1:]) if d > 1e-12]
         verdicts["picard.contraction_rate"] = all(r <= bound for r in late)
@@ -672,14 +663,13 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         verdicts=verdicts,
         all_passed=all(verdicts.values()),
     )
-    write_summary(out_dir, summary)
+    # The summary goes last, so that a run whose tables fail to write leaves none.
     write_solution_csv(out_dir, tree, frozen, sol)
-    passed = f"{sum(verdicts.values())}/{len(verdicts)} checks passed"
-    if trace is None:
-        print(f"Y_0 = {summary['y0']!r}; {passed}")
-    else:
+    if trace is not None:
         write_trace_csv(out_dir, trace.distances)
-        print(f"Y_0 = {summary['y0']!r} after {len(trace.distances)} iterations; {passed}")
+    write_summary(out_dir, summary)
+    after = "" if trace is None else f" after {len(trace.distances)} iterations"
+    print(f"Y_0 = {summary['y0']!r}{after}; {sum(verdicts.values())}/{len(verdicts)} checks passed")
     print(f"artifact written to {out_dir}")
     return 0 if summary["all_passed"] else 1
 
@@ -841,7 +831,12 @@ def main(argv=None) -> int:
         }[args.verb]
         # Before any work, so that a bad path never costs a solve.
         name = "out" if cfg.out and not args.out else "--out"
-        return handler(cfg, _make_out_dir(Path(args.out or cfg.out or "out"), name))
+        out_dir = _make_out_dir(Path(args.out or cfg.out or "out"), name)
+        try:
+            return handler(cfg, out_dir)
+        except OSError as exc:  # an artifact in the output directory cannot be written
+            path = str(exc.filename or out_dir)
+            raise ConfigInvalid(name, f"cannot write {path!r}: {exc.strerror}") from None
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -23,14 +23,11 @@ def make_tree(
     mark_labels,
     rate: float,
     n_brownian: int = 2,
-    phi=None,
     budget: int = 2_000_000,
 ) -> ScenarioTree:
-    """Tree over a uniform grid with a linear compensator A(t) = rate * t."""
+    """Tree over a uniform grid, A(t) = rate * t and a uniform mark kernel."""
     marks = MarkSet(tuple(mark_labels))
-    if phi is None:
-        phi = np.full(marks.size, 1.0 / marks.size)
-    comp = CompensatorSpec.linear(rate, phi)
+    comp = CompensatorSpec.linear(rate, np.full(marks.size, 1.0 / marks.size))
     grid = TimeGrid.uniform(n_steps, horizon)
     return build_tree(grid, marks, comp, n_brownian=n_brownian, budget=budget)
 
@@ -133,7 +130,6 @@ def random_given_instance(
     n_brownian: int = 2,
     with_jumps: Optional[bool] = None,
     cross_terminal: bool = False,
-    with_generators: bool = True,
     max_interior: Optional[int] = None,
 ):
     """Random known-generator instance with an often-active barrier.
@@ -170,12 +166,9 @@ def random_given_instance(
         leaf_slack=float(rng.choice([0.0, 0.5, 2.0])),
         xi=xi,
     )
-    f_levels = _random_state_levels(rng, tree) if with_generators else None
-    g_levels = None
-    if with_generators and n_brownian == 2:
-        g_levels = _random_state_levels(rng, tree)
-    gen = GeneratorSpec(xi=xi, h=h, f_levels=f_levels, g_levels=g_levels)
-    return tree, gen
+    f_levels = _random_state_levels(rng, tree)
+    g_levels = _random_state_levels(rng, tree) if n_brownian == 2 else None
+    return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_levels, g_levels=g_levels)
 
 
 def random_oracle_instance(rng):

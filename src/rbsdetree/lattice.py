@@ -72,7 +72,6 @@ class ScenarioTree:
 
     grid: TimeGrid
     marks: MarkSet
-    comp: CompensatorSpec
     n_brownian: int
     da: np.ndarray
     jump_prob: np.ndarray
@@ -207,7 +206,6 @@ def build_tree(
     tree = ScenarioTree(
         grid=grid,
         marks=marks,
-        comp=comp,
         n_brownian=n_brownian,
         da=da,
         jump_prob=jump_prob,
@@ -309,8 +307,3 @@ def level_expectation(tree: ScenarioTree, k: int, values: np.ndarray) -> float:
     BLAS threads run.
     """
     return float(np.einsum("i,i->", tree.prob[k], values))
-
-
-def constant_process(tree: ScenarioTree, value: float) -> NodeProcess:
-    """NodeProcess equal to ``value`` at every node."""
-    return [np.full(tree.level_size(k), float(value)) for k in range(tree.n_steps + 1)]

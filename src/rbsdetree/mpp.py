@@ -1,4 +1,4 @@
-"""Marked point process model: mark set, compensator, simulation, q-integrals.
+"""Marked point process model: mark set, compensator, simulation, counting.
 
 The jump measure is specified by a continuous cumulative compensator A and a
 mark kernel phi_t(de) on a finite mark set, so the intensity measure of the
@@ -31,9 +31,6 @@ class MarkSet:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 @dataclass(frozen=True)
@@ -158,37 +155,3 @@ def counting_process(path: MppPath, grid) -> np.ndarray:
         out[i] = int(np.count_nonzero(event_times <= t + 1e-15))
     return out
 
-
-def compensated_integral(
-    path: MppPath, spec: CompensatorSpec, integrand, marks: MarkSet, grid
-) -> float:
-    """Integral of C against the compensated jump measure q = p - phi dA.
-
-    ``integrand`` is either a callable (step, mark_index) -> float or an
-    array of shape (N, m).  Returns sum of C at the realized events minus
-    sum_k sum_e C(k, e) phi_k(e) dA_k.
-    """
-    times = grid.times
-    n_steps = len(times) - 1
-    if callable(integrand):
-        c = np.array(
-            [[integrand(k, e) for e in range(marks.size)] for k in range(n_steps)],
-            dtype=float,
-        )
-    else:
-        c = np.asarray(integrand, dtype=float)
-        if c.shape != (n_steps, marks.size):
-            raise ValueError(f"integrand array must have shape ({n_steps}, {marks.size})")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("integrand must be finite at every (step, mark)")
-
-    jump_part = 0.0
-    for t, label in path.events:
-        k = int(np.searchsorted(times, t - 1e-15, side="left")) - 1
-        k = min(max(k, 0), n_steps - 1)
-        jump_part += c[k, marks.index(label)]
-
-    da = spec.increments(times)
-    phi = spec.kernel_on_grid(times, marks.size)
-    comp_part = float(np.sum(c * phi * da[:, None]))
-    return jump_part - comp_part

@@ -15,15 +15,11 @@ import numpy as np
 
 from .errors import BetaTooSmall, NoConvergence
 from .lattice import ScenarioTree
-from .rbsde import (
-    GeneratorSpec,
-    LipschitzConstants,
-    RbsdeSolution,
-    check_equation_residual,
-    check_skorohod,
-    solve_given_generators,
-    solve_mpp_only,
-)
+from .rbsde import GeneratorSpec, LipschitzConstants, RbsdeSolution, solve_given_generators, solve_mpp_only
+
+# Not called here (the CLI checks the final iterate); kept as names of this
+# module because perfbench/tracer.py wraps them here.
+from .rbsde import check_equation_residual, check_skorohod  # noqa: F401
 from .wnorm import WeightedNorm, norm_sq
 
 ALPHA_MAX = 1.0 - 1e-9
@@ -126,7 +122,7 @@ def composite_distance(tree: ScenarioTree, t1: Triple, t2: Triple, cfg: Contract
 
 @dataclass
 class PicardTrace:
-    """Per-iteration distances plus the final solution and its checks.
+    """Per-iteration distances plus the final solution.
 
     ``frozen_spec`` is the known-generator spec whose exact solution the
     final iterate is (generators evaluated at the previous iterate); the
@@ -136,9 +132,6 @@ class PicardTrace:
     distances: list
     solution: RbsdeSolution
     frozen_spec: GeneratorSpec
-    skorohod: object
-    equation: object
-    converged: bool
 
     @property
     def ratios(self) -> list:
@@ -174,8 +167,7 @@ def picard_solve(
     A sweep computes only (Y, U, Z), which is all the next sweep and the
     distance read; the final iterate is solved in full, push and residuals
     included.  Raises NoConvergence (carrying the distance trace) if the
-    iteration cap is reached first.  The final quadruple is re-verified
-    against the minimal-push and per-branch equation residual checks.
+    iteration cap is reached first.
     """
     solve = solve_mpp_only if tree.n_brownian == 1 else solve_given_generators
     point = init if init is not None else zero_triple(tree)
@@ -193,12 +185,4 @@ def picard_solve(
     else:
         raise NoConvergence(distances, cfg.tol)
 
-    sol = solve(tree, frozen)
-    return PicardTrace(
-        distances=distances,
-        solution=sol,
-        frozen_spec=frozen,
-        skorohod=check_skorohod(tree, sol, gen.h),
-        equation=check_equation_residual(tree, sol, frozen),
-        converged=True,
-    )
+    return PicardTrace(distances=distances, solution=solve(tree, frozen), frozen_spec=frozen)

@@ -18,6 +18,8 @@ from .lattice import NodeProcess, ScenarioTree, cexp_level, extract_representati
 from .snell import doob_meyer, snell_envelope
 
 SKOROHOD_TOL = 1e-12
+BARRIER_TOL = 1e-12  # how far h may exceed xi at a leaf
+MAJORANT_TOL = 1e-10  # how far e^{beta A/2}|Y| may exceed the majorant
 
 
 class LipschitzConstants(NamedTuple):
@@ -47,10 +49,6 @@ class GeneratorSpec:
     g_state: Optional[Callable] = None
     lipschitz: LipschitzConstants = LipschitzConstants()
 
-    @property
-    def is_given(self) -> bool:
-        return self.f_state is None and self.g_state is None
-
     def given_levels(self, tree: ScenarioTree):
         """Generator values per level, zero-filled where unspecified."""
         zeros = [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)]
@@ -58,7 +56,7 @@ class GeneratorSpec:
         g = self.g_levels if self.g_levels is not None else zeros
         return f, g
 
-    def validate(self, tree: ScenarioTree, barrier_tol: float = 1e-12):
+    def validate(self, tree: ScenarioTree):
         if len(self.xi) != tree.n_leaves:
             raise ValueError("terminal payoff must be leaf-indexed")
         if len(self.h) != tree.n_steps + 1:
@@ -68,7 +66,7 @@ class GeneratorSpec:
             if levels is not None and not all(np.all(np.isfinite(x)) for x in levels):
                 raise ValueError(f"{name} has a non-finite value")
         gap = np.max(self.h[-1] - self.xi)
-        if gap > barrier_tol:
+        if gap > BARRIER_TOL:
             raise ValueError(f"barrier exceeds terminal payoff at a leaf by {gap:.3e}")
 
 
@@ -180,14 +178,13 @@ class SkorohodReport:
     max_product: float
     max_negative_dk: float
     max_barrier_violation: float
-    tol: float = SKOROHOD_TOL
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_product <= self.tol
-            and self.max_negative_dk <= self.tol
-            and self.max_barrier_violation <= self.tol
+            self.max_product <= SKOROHOD_TOL
+            and self.max_negative_dk <= SKOROHOD_TOL
+            and self.max_barrier_violation <= SKOROHOD_TOL
         )
 
 
@@ -256,13 +253,7 @@ def check_equation_residual(
     )
 
 
-def a_priori_majorant(
-    tree: ScenarioTree,
-    gen: GeneratorSpec,
-    sol: RbsdeSolution,
-    beta: float,
-    tol: float = 1e-10,
-) -> list:
+def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution, beta: float) -> list:
     """Check the weighted bound e^{beta A_k / 2} |Y_k| <= S_k node-wise.
 
     S is the conditional expectation of
@@ -301,7 +292,7 @@ def a_priori_majorant(
         if k < n:
             s[k] = cexp_level(tree, k, s[k + 1])
         lhs = np.exp(beta * a[k] / 2) * np.abs(sol.y[k])
-        bad = lhs > s[k] + tol
+        bad = lhs > s[k] + MAJORANT_TOL
         for i in np.flatnonzero(bad):
             violations.append((k, int(i), float(lhs[i]), float(s[k][i])))
     return violations

@@ -16,6 +16,7 @@ from .errors import NotSupermartingale
 from .lattice import NodeProcess, ScenarioTree, cexp_level
 
 SUPERMARTINGALE_TOL = 1e-10
+SUPPORT_TOL = 1e-12  # dK and R - eta above this count as positive
 
 
 def snell_envelope(tree: ScenarioTree, eta: NodeProcess) -> NodeProcess:
@@ -33,15 +34,13 @@ def snell_envelope(tree: ScenarioTree, eta: NodeProcess) -> NodeProcess:
 
 @dataclass(frozen=True)
 class SnellDecomposition:
-    """Split R = M - K with M a martingale and K predictable nondecreasing.
+    """Split R = M - K with M = R + K a martingale and K predictable nondecreasing.
 
     ``dk[k]`` is the increment decided at level k (over (t_k, t_{k+1}]);
-    ``k_cum[k]`` the accumulated K at level k (K_0 = 0); ``m`` the martingale
-    part R + K.
+    ``k_cum[k]`` the accumulated K at level k (K_0 = 0).
     """
 
     r: NodeProcess
-    m: NodeProcess
     k_cum: NodeProcess
     dk: NodeProcess
 
@@ -52,9 +51,8 @@ def doob_meyer(tree: ScenarioTree, r: NodeProcess) -> SnellDecomposition:
     dK_k = R_k - E[R_{k+1} | node] >= 0; raises NotSupermartingale if any
     conditional increment of R is positive beyond tolerance.
     """
-    n = tree.n_steps
     dk = []
-    for k in range(n):
+    for k in range(tree.n_steps):
         drift = r[k] - cexp_level(tree, k, r[k + 1])
         if np.any(drift < -SUPERMARTINGALE_TOL):
             worst = float(drift.min())
@@ -63,28 +61,20 @@ def doob_meyer(tree: ScenarioTree, r: NodeProcess) -> SnellDecomposition:
             )
         dk.append(np.maximum(drift, 0.0))
 
-    k_cum = tree.path_sum(dk)
-    m = [r[k] + k_cum[k] for k in range(n + 1)]
-    return SnellDecomposition(r=list(r), m=m, k_cum=k_cum, dk=dk)
+    return SnellDecomposition(r=list(r), k_cum=tree.path_sum(dk), dk=dk)
 
 
-def envelope_jump_support(
-    tree: ScenarioTree,
-    dec: SnellDecomposition,
-    eta: NodeProcess,
-    dk_tol: float = 1e-12,
-    touch_tol: float = 1e-12,
-) -> list:
+def envelope_jump_support(tree: ScenarioTree, dec: SnellDecomposition, eta: NodeProcess) -> list:
     """Nodes where K increases while the envelope sits strictly above eta.
 
-    Empty iff every node with dK > dk_tol has R = eta there (the discrete
+    Empty iff every node with dK > SUPPORT_TOL has R = eta there (the discrete
     form of K growing only on the contact set).  Each violation is reported
     as (level, node_index, dK, R - eta).
     """
     violations = []
     for k, dk in enumerate(dec.dk):
         gap = dec.r[k] - eta[k]
-        bad = (dk > dk_tol) & (gap > touch_tol)
+        bad = (dk > SUPPORT_TOL) & (gap > SUPPORT_TOL)
         for i in np.flatnonzero(bad):
             violations.append((k, int(i), float(dk[i]), float(gap[i])))
     return violations

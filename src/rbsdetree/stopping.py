@@ -18,6 +18,7 @@ from .lattice import ScenarioTree, cexp_level
 from .rbsde import GeneratorSpec, RbsdeSolution, reward_process, running_gains
 
 ENUMERATION_CAP = 20
+OPTIMAL_TOL = 1e-12  # a rule within this of the best value counts as optimal
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,6 @@ class StoppingRule:
     @staticmethod
     def from_levels(levels) -> "StoppingRule":
         return StoppingRule(tuple(np.asarray(lv, dtype=bool) for lv in levels))
-
-    @staticmethod
-    def leaves_only(tree: ScenarioTree) -> "StoppingRule":
-        levels = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.n_steps)]
-        levels.append(np.ones(tree.n_leaves, dtype=bool))
-        return StoppingRule.from_levels(levels)
 
 
 def stop_levels(tree: ScenarioTree, rule: StoppingRule) -> np.ndarray:
@@ -76,12 +71,11 @@ class StoppingCertificate:
     best_mask: int
     n_interior: int
     all_values: Optional[np.ndarray]
-    epsilon: float = 0.0
 
-    def optimal_masks(self, tol: float = 1e-12) -> np.ndarray:
+    def optimal_masks(self) -> np.ndarray:
         if self.all_values is None:
             raise ValueError("certificate was built without the enumeration table")
-        return np.flatnonzero(self.all_values >= self.value - tol)
+        return np.flatnonzero(self.all_values >= self.value - OPTIMAL_TOL)
 
 
 def _subtree_layout(tree: ScenarioTree, root_level: int):
@@ -117,7 +111,6 @@ def brute_force_value(
     gen: GeneratorSpec,
     root_level: int = 0,
     root_index: int = 0,
-    cap: int = ENUMERATION_CAP,
     keep_table: bool = True,
 ) -> StoppingCertificate:
     """Enumerate every stopping rule on the subtree below the given node.
@@ -128,8 +121,8 @@ def brute_force_value(
     the root on, conditional probabilities given the root).
     """
     strides, offsets, n_interior = _subtree_layout(tree, root_level)
-    if n_interior > cap:
-        raise EnumerationBudgetExceeded(n_interior=n_interior, cap=cap)
+    if n_interior > ENUMERATION_CAP:
+        raise EnumerationBudgetExceeded(n_interior=n_interior, cap=ENUMERATION_CAP)
 
     f_levels, g_levels = gen.given_levels(tree)
     cum = running_gains(tree, f_levels, g_levels)

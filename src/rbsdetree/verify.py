@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RbsdeTreeError
 from .instances import (
     linear_barrier,
     make_tree,
@@ -64,7 +65,10 @@ def _timed(name):
     def wrap(fn):
         def run(*args, **kwargs):
             t0 = time.perf_counter()
-            passed, detail = fn(*args, **kwargs)
+            try:
+                passed, detail = fn(*args, **kwargs)
+            except RbsdeTreeError as exc:  # e.g. a Picard run that does not converge
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
             return CriterionResult(name, passed, detail, time.perf_counter() - t0)
 
         run.__name__ = fn.__name__
@@ -166,8 +170,6 @@ def criterion_picard(scale: str = "small"):
             for k in range(tree.n_steps + 1)
         )
         worst_gap = max(worst_gap, gap)
-        if not (trace.converged and other.converged):
-            return False, "iteration failed to converge within the cap"
         bound = cfg.alpha + 0.05
     ok = worst_ratio <= bound and worst_gap <= 1e-8 and max_iters <= 40
     return ok, (
@@ -215,7 +217,7 @@ def criterion_smallest_optimal(scale: str = "small"):
         worst_value = max(worst_value, abs(float(sol.y[0][0]) - reward))
         star_levels = stop_levels(tree, star)
         cert = brute_force_value(tree, gen)
-        for mask in cert.optimal_masks(1e-12):
+        for mask in cert.optimal_masks():
             other = rule_from_mask(tree, int(mask))
             if np.any(star_levels > stop_levels(tree, other)):
                 latest = False
@@ -238,7 +240,7 @@ def criterion_majorant(scale: str = "small"):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
         for beta in (0.5, 1.0, 2.0):
-            n_viol += len(a_priori_majorant(tree, gen, sol, beta=beta, tol=1e-10))
+            n_viol += len(a_priori_majorant(tree, gen, sol, beta=beta))
     return n_viol == 0, f"{n_viol} node-level violations over {n} instances x beta in {{0.5,1,2}}"
 
 

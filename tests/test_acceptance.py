@@ -7,6 +7,7 @@ and prints one pass/fail line (visible with ``pytest -s`` or on failure).
 import pytest
 
 from rbsdetree import verify
+from rbsdetree.errors import NoConvergence
 
 
 def _run(criterion):
@@ -93,3 +94,14 @@ def test_detail_line_reports_instances_run_at_full_scale():
     result = verify.criterion_mpp_only("full")
     assert result.passed, result.line
     assert "over 40 instances" in result.detail
+
+
+def test_a_picard_run_that_does_not_converge_fails_criterion_4(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence([0.5, 0.4], 1e-9)
+
+    monkeypatch.setattr(verify, "picard_solve", no_convergence)
+    results = verify.run_all("small")
+    assert len(results) == 10
+    assert results[3].name == "fixed-point contraction" and not results[3].passed
+    assert "NoConvergence: no convergence after 2 iterations" in results[3].detail

@@ -116,7 +116,6 @@ def test_picard_verb(tmp_path):
     out = tmp_path / "run"
     assert main(["picard", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["verdicts"]["picard.converged"] is True
     assert summary["verdicts"]["picard.contraction_rate"] is True
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,distance"
@@ -181,7 +180,7 @@ def test_integral_floats_and_numeric_strings_are_read(tmp_path):
 
 
 def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
-    """``picard_solve`` checks its final iterate; ``run_checks`` reuses those checks."""
+    """A solve checks its final iterate once: ``run_checks`` makes the one call of each check."""
     from rbsdetree import cli, picard
 
     calls = []
@@ -313,6 +312,35 @@ def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, k
 
 
 @pytest.mark.parametrize(
+    "mode, brownian, family",
+    [
+        ("given", "binomial", "affine"),
+        ("given", "binomial", "clipped-affine"),
+        ("mpp-only", "none", "affine"),
+        ("mpp-only", "none", "clipped-affine"),
+        ("picard", "binomial", "given"),
+    ],
+)
+def test_a_family_its_mode_does_not_solve_exits_2(tmp_path, capsys, mode, brownian, family):
+    """Only picard mode reads a state-dependent family; the others would solve with f = g = 0."""
+    gen = {"family": family, "clip": 1.0, "f": {"const": 5.0}}
+    raw = {**BASE, "mode": mode, "brownian": brownian, "generator": gen}
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 2 and "config error: generator.family:" in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("artifact", ["solution.csv", "summary.json"])
+def test_an_artifact_path_taken_by_a_directory_exits_2(tmp_path, capsys, artifact):
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    code = main(["solve", "--config", _write(tmp_path, BASE), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error: --out: cannot write" in err and artifact in err
+    assert not (out / "summary.json").is_file()
+
+
+@pytest.mark.parametrize(
     "section, key, value, fieldname",
     [
         ("terminal", "w", "abc", "terminal.w"),
@@ -330,7 +358,7 @@ def test_bad_problem_number_exits_2_before_the_tree_is_built(
     builds = []
     real_build_tree = cli.build_tree
     monkeypatch.setattr(cli, "build_tree", lambda *a, **kw: builds.append(1) or real_build_tree(*a, **kw))
-    raw = {**BASE, "generator": {"family": "clipped-affine", "clip": 1.0}}
+    raw = {**BASE, "mode": "picard", "generator": {"family": "clipped-affine", "clip": 1.0}}
     code, _ = _exit_and_error(tmp_path, capsys, raw)
     assert code == 0 and builds == [1]
     builds.clear()

@@ -8,7 +8,6 @@ from rbsdetree import (
     TimeGrid,
     build_tree,
     cexp_level,
-    constant_process,
     extract_representation,
     level_expectation,
     representation_integrands,
@@ -128,9 +127,10 @@ def test_representation_exact_for_spanned_payoff():
 
 def test_process_helpers():
     tree = make_tree(2, 1.0, ("a",), rate=0.5)
-    ones = constant_process(tree, 1.0)
-    assert all(np.all(x == 1.0) for x in ones)
-    assert [len(x) for x in ones] == [tree.level_size(k) for k in range(tree.n_steps + 1)]
+    ones = [np.full(tree.level_size(k), 1.0) for k in range(tree.n_steps + 1)]
+    cum = tree.path_sum(ones[:-1])
+    assert [len(x) for x in cum] == [tree.level_size(k) for k in range(tree.n_steps + 1)]
+    assert all(np.all(cum[k] == k) for k in range(tree.n_steps + 1))
 
 
 def test_degenerate_levels_flagged():

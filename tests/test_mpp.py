@@ -7,7 +7,6 @@ from rbsdetree import (
     MppPath,
     NonMonotoneCompensator,
     TimeGrid,
-    compensated_integral,
     counting_process,
     simulate_path,
 )
@@ -16,7 +15,6 @@ from rbsdetree import (
 def test_mark_set_basics():
     ms = MarkSet(("a", "b", "c"))
     assert ms.size == 3
-    assert ms.index("b") == 1
     with pytest.raises(ValueError):
         MarkSet(())
     with pytest.raises(ValueError):
@@ -91,44 +89,3 @@ def test_counting_process():
     path = MppPath(events=((0.25, "a"), (0.75, "a")), horizon=1.0)
     assert counting_process(path, grid).tolist() == [0, 1, 1, 2, 2]
 
-
-def test_compensated_integral_values():
-    spec = CompensatorSpec.linear(1.0, [1.0])
-    marks = MarkSet(("a",))
-    grid = TimeGrid.uniform(2, 1.0)
-    path = MppPath(events=((0.5, "a"),), horizon=1.0)
-    # integrand 1: one event minus total compensator mass
-    val = compensated_integral(path, spec, lambda k, e: 1.0, marks, grid)
-    assert val == pytest.approx(1.0 - 1.0, abs=1e-14)
-    arr = np.array([[2.0], [3.0]])
-    val = compensated_integral(path, spec, arr, marks, grid)
-    assert val == pytest.approx(2.0 - (2.0 + 3.0) * 0.5, abs=1e-14)
-
-
-def test_compensated_integral_zero_mean_monte_carlo():
-    spec = CompensatorSpec.linear(0.9, [0.5, 0.5])
-    marks = MarkSet(("a", "b"))
-    grid = TimeGrid.uniform(4, 1.0)
-    rng = np.random.default_rng(0)
-    c = rng.uniform(-1, 1, size=(4, 2))
-    n = 4000
-    vals = np.array(
-        [
-            compensated_integral(simulate_path(spec, marks, grid, seed=s), spec, c, marks, grid)
-            for s in range(n)
-        ]
-    )
-    # The discrete compensated sum has mean zero under the sampling scheme
-    # only up to O(dA^2) per step (p = 1 - e^{-dA} vs dA); allow that bias.
-    da = spec.increments(grid.times)
-    bias = float(np.sum(np.abs(c).sum(axis=1) * (da + np.expm1(-da))))
-    assert abs(vals.mean()) <= 3 * vals.std() / np.sqrt(n) + bias
-
-
-def test_compensated_integral_rejects_bad_shape():
-    spec = CompensatorSpec.linear(1.0, [1.0])
-    marks = MarkSet(("a",))
-    grid = TimeGrid.uniform(2, 1.0)
-    path = MppPath(events=(), horizon=1.0)
-    with pytest.raises(ValueError):
-        compensated_integral(path, spec, np.ones((3, 1)), marks, grid)

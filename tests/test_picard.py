@@ -11,6 +11,8 @@ from rbsdetree import (
     LipschitzConstants,
     NoConvergence,
     Triple,
+    check_equation_residual,
+    check_skorohod,
     composite_distance,
     picard_solve,
     select_contraction_parameters,
@@ -54,10 +56,9 @@ def test_linear_fixed_point():
     tree, gen = fixture_linear_fixed_point()
     cfg = select_contraction_parameters(gen.lipschitz, beta=0.7, tol=1e-13)
     trace = picard_solve(tree, gen, cfg)
-    assert trace.converged
     assert trace.solution.y[0][0] == pytest.approx(1.0 / 0.9, abs=1e-12)
-    assert trace.skorohod.passed
-    assert trace.equation.max_conditional_mean <= 1e-12
+    assert check_skorohod(tree, trace.solution, gen.h).passed
+    assert check_equation_residual(tree, trace.solution, trace.frozen_spec).max_conditional_mean <= 1e-12
 
 
 def test_contraction_rate_and_init_independence():

@@ -63,11 +63,12 @@ def test_doob_meyer_decomposition():
     eta = _random_eta(tree, rng)
     r = snell_envelope(tree, eta)
     dec = doob_meyer(tree, r)
+    m = [r[k] + dec.k_cum[k] for k in range(tree.n_steps + 1)]
     for k in range(tree.n_steps):
         assert np.all(dec.dk[k] >= 0)
         # martingale property of M = R + K
-        assert np.allclose(cexp_level(tree, k, dec.m[k + 1]), dec.m[k], atol=1e-12)
-        assert np.allclose(dec.m[k] - dec.k_cum[k], r[k], atol=1e-14)
+        assert np.allclose(cexp_level(tree, k, m[k + 1]), m[k], atol=1e-12)
+        assert np.allclose(m[k] - dec.k_cum[k], r[k], atol=1e-14)
     assert np.all(dec.k_cum[0] == 0.0)
 
 

@@ -44,8 +44,10 @@ def test_stop_levels_first_entry():
 
 def test_leaves_only_reward_is_terminal_expectation():
     rng = np.random.default_rng(0)
-    tree, gen = random_given_instance(rng, max_steps=3, with_generators=False)
-    rule = StoppingRule.leaves_only(tree)
+    tree, base = random_given_instance(rng, max_steps=3)
+    gen = GeneratorSpec(xi=base.xi, h=base.h)  # no running gains
+    levels = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.n_steps)]
+    rule = StoppingRule.from_levels([*levels, np.ones(tree.n_leaves, dtype=bool)])
     assert reward_of_rule(tree, gen, rule) == pytest.approx(
         level_expectation(tree, tree.n_steps, gen.xi), abs=1e-12
     )

@@ -5,12 +5,15 @@ from rbsdetree import (
     BetaZero,
     WeightedNorm,
     cauchy_weight_bound,
-    constant_process,
     norm_sq,
     solve_mpp_only,
 )
 from rbsdetree.instances import make_tree
 from rbsdetree.verify import fixture_jump_count
+
+
+def _constant(tree, value):
+    return [np.full(tree.level_size(k), value) for k in range(tree.n_steps + 1)]
 
 
 def test_kind_and_sign_validation():
@@ -24,7 +27,7 @@ def test_kind_and_sign_validation():
 
 def test_zero_process_and_lebesgue_mass():
     tree = make_tree(4, 2.0, ("a",), rate=0.7)
-    zeros = constant_process(tree, 0.0)
+    zeros = _constant(tree, 0.0)
     for kind in ("A", "W", "p", "A-plus-lambda"):
         w = WeightedNorm(kind, 1.0, 0.5)
         x = zeros
@@ -32,7 +35,7 @@ def test_zero_process_and_lebesgue_mass():
             x = [np.zeros((tree.level_size(k), 1)) for k in range(tree.n_steps)]
         assert norm_sq(tree, x, w) == 0.0
     # x = 1, beta = 0, kind W: total Lebesgue mass = horizon
-    assert norm_sq(tree, constant_process(tree, 1.0), WeightedNorm("W", 0.0)) == pytest.approx(
+    assert norm_sq(tree, _constant(tree, 1.0), WeightedNorm("W", 0.0)) == pytest.approx(
         2.0, abs=1e-12
     )
 
@@ -93,9 +96,9 @@ def test_a_plus_lambda_is_sum():
 
 def test_cauchy_weight_bound_examples():
     tree = make_tree(4, 1.0, ("a",), rate=1.0)  # A(T) = 1
-    zeros = constant_process(tree, 0.0)
+    zeros = _constant(tree, 0.0)
     assert cauchy_weight_bound(tree, zeros, 1.0) == (0.0, 0.0)
-    ones = constant_process(tree, 1.0)
+    ones = _constant(tree, 1.0)
     lhs, rhs = cauchy_weight_bound(tree, ones, 1.0)
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs >= 1.0 - 1e-12
@@ -116,6 +119,6 @@ def test_cauchy_weight_bound_random_sweep():
 def test_cauchy_weight_bound_holds_on_coarse_grids():
     # a single step with a large compensator increment stresses the bound
     tree = make_tree(1, 1.0, ("a",), rate=np.log(2.0), n_brownian=1)
-    ones = constant_process(tree, 1.0)
+    ones = _constant(tree, 1.0)
     lhs, rhs = cauchy_weight_bound(tree, ones, 2.0)
     assert lhs <= rhs + 1e-12
