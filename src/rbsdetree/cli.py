@@ -27,6 +27,7 @@ from .lattice import DEFAULT_NODE_BUDGET, ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
 from .picard import picard_solve, select_contraction_parameters
 from .rbsde import (
+    BARRIER_TOL,
     GeneratorSpec,
     a_priori_majorant,
     check_equation_residual,
@@ -320,8 +321,15 @@ def build_problem(cfg: RunConfig):
         )
     except BudgetExceeded as exc:
         raise ConfigInvalid("generator.budget", str(exc)) from None
-    xi = terminal_payoff(tree, **cfg.terminal)
-    h = linear_barrier(tree, **cfg.barrier, xi=xi)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
+        xi = terminal_payoff(tree, **cfg.terminal)
+        h = linear_barrier(tree, **cfg.barrier, xi=xi)
+    for path, levels in (("terminal", [xi]), ("barrier", h)):
+        if not all(np.all(np.isfinite(level)) for level in levels):
+            raise ConfigInvalid(path, "has a non-finite value at a node")
+    gap = float(np.max(h[-1] - xi))
+    if gap > BARRIER_TOL:
+        raise ConfigInvalid("barrier.leaf_slack", f"the barrier exceeds the payoff at a leaf by {gap:.3e}")
     return tree, _build_generator(cfg, tree, xi, h)
 
 
@@ -531,11 +539,10 @@ def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
         },
     }
     # ``frozen`` is a known-generator spec in every mode, so the envelope route applies.
-    y, dec = solve_via_snell(tree, frozen)
+    y, dec, eta = solve_via_snell(tree, frozen)
     gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
-    from .rbsde import reward_process
-
-    support = envelope_jump_support(tree, dec, reward_process(tree, frozen))
+    support = envelope_jump_support(tree, dec, eta)
+    del y, dec, eta  # four node processes, freed before the majorant builds its own
     checks["route_equivalence"] = {"passed": bool(gap <= 1e-10), "max_gap": gap}
     checks["push_only_on_contact"] = {
         "passed": not support,

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import BetaTooSmall, NoConvergence
 from .lattice import ScenarioTree
-from .rbsde import GeneratorSpec, LipschitzConstants, RbsdeSolution, solve_given_generators, solve_mpp_only
+from .rbsde import GeneratorSpec, LipschitzConstants, RbsdeSolution, leaf_representation
+from .rbsde import solve_given_generators, solve_mpp_only
 
 # Not called here (the CLI checks the final iterate); kept as names of this
 # module because perfbench/tracer.py wraps them here.
@@ -166,16 +167,19 @@ def picard_solve(
 
     A sweep computes only (Y, U, Z), which is all the next sweep and the
     distance read; the final iterate is solved in full, push and residuals
-    included.  Raises NoConvergence (carrying the distance trace) if the
-    iteration cap is reached first.
+    included.  Y_N = xi in every sweep, so xi and h are checked and Y_N's
+    representation is made once, before the first sweep; a sweep checks only
+    its frozen f and g.  Raises NoConvergence (carrying the distance trace)
+    if the iteration cap is reached first.
     """
     solve = solve_mpp_only if tree.n_brownian == 1 else solve_given_generators
+    leaf = leaf_representation(tree, gen)
     point = init if init is not None else zero_triple(tree)
     distances = []
     frozen = None
     for _ in range(cfg.max_iter):
         frozen = _frozen_spec(tree, gen, point)
-        sweep = solve(tree, frozen, integrands_only=True)
+        sweep = solve(tree, frozen, integrands_only=True, leaf=leaf)
         new_point = Triple(y=sweep.y, u=sweep.u, z=sweep.z)
         d = composite_distance(tree, point, new_point, cfg)
         distances.append(d)
@@ -185,4 +189,4 @@ def picard_solve(
     else:
         raise NoConvergence(distances, cfg.tol)
 
-    return PicardTrace(distances=distances, solution=solve(tree, frozen), frozen_spec=frozen)
+    return PicardTrace(distances=distances, solution=solve(tree, frozen, leaf=leaf), frozen_spec=frozen)

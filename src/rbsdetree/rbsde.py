@@ -8,13 +8,14 @@ come from the one-step martingale representation of Y_{k+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BetaZero, BrownianBranchesPresent
-from .lattice import NodeProcess, ScenarioTree, cexp_level, extract_representation, representation_integrands
+from .lattice import NodeProcess, Representation, ScenarioTree, cexp_level
+from .lattice import extract_representation, representation_integrands
 from .snell import doob_meyer, snell_envelope
 
 SKOROHOD_TOL = 1e-12
@@ -56,16 +57,19 @@ class GeneratorSpec:
         g = self.g_levels if self.g_levels is not None else zeros
         return f, g
 
-    def validate(self, tree: ScenarioTree):
-        if len(self.xi) != tree.n_leaves:
-            raise ValueError("terminal payoff must be leaf-indexed")
-        if len(self.h) != tree.n_steps + 1:
-            raise ValueError("barrier must be defined on every level")
-        for name, levels in (("xi", [self.xi]), ("h", self.h),
-                             ("f_levels", self.f_levels), ("g_levels", self.g_levels)):
+    def validate(self, tree: ScenarioTree, generators_only: bool = False):
+        """Shapes, finite values and h <= xi; ``generators_only``: f and g alone, for a Picard sweep."""
+        named = [("f_levels", self.f_levels), ("g_levels", self.g_levels)]
+        if not generators_only:
+            if len(self.xi) != tree.n_leaves:
+                raise ValueError("terminal payoff must be leaf-indexed")
+            if len(self.h) != tree.n_steps + 1:
+                raise ValueError("barrier must be defined on every level")
+            named = [("xi", [self.xi]), ("h", self.h)] + named
+        for name, levels in named:
             if levels is not None and not all(np.all(np.isfinite(x)) for x in levels):
                 raise ValueError(f"{name} has a non-finite value")
-        gap = np.max(self.h[-1] - self.xi)
+        gap = -np.inf if generators_only else np.max(self.h[-1] - self.xi)
         if gap > BARRIER_TOL:
             raise ValueError(f"barrier exceeds terminal payoff at a leaf by {gap:.3e}")
 
@@ -77,7 +81,7 @@ class RbsdeSolution:
     ``z`` is None in jump-only mode.  ``dk[k]`` is the push increment decided
     at level k; ``k_cum`` the accumulated push (K_0 = 0).  ``residual[k]`` is
     the per-node L2 representation residual.  An integrands-only solve
-    leaves those three None.
+    leaves those three None.  ``y[N]`` is the spec's xi array itself.
     """
 
     y: NodeProcess
@@ -88,18 +92,19 @@ class RbsdeSolution:
     residual: Optional[NodeProcess]
 
 
-def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_only):
+def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_only, leaf=None):
     """One backward pass: the representation of Y_{k+1} gives the conditional
     mean that sets Y_k and the integrands (U_k, Z_k).  ``integrands_only``
-    stops at (Y, U, Z), with no push and no representation residual.
+    stops at (Y, U, Z), with no push and no representation residual.  Y_N = xi
+    in every Picard sweep, so its representation ``leaf`` may be made once.
     """
     n = tree.n_steps
     y = [None] * (n + 1)
-    y[n] = np.asarray(xi, dtype=float).copy()
+    y[n] = np.asarray(xi, dtype=float)
     u, z, dk, residual = ([None] * n for _ in range(4))
     represent = representation_integrands if integrands_only else extract_representation
     for k in range(n - 1, -1, -1):
-        rep = represent(tree, k, y[k + 1])
+        rep = leaf if k == n - 1 and leaf is not None else represent(tree, k, y[k + 1])
         ytil = rep.mean + f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k]
         # max (not ytil + dk) so reflected nodes carry Y == h bit-exactly.
         y[k] = np.maximum(ytil, h[k])
@@ -116,25 +121,37 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_o
     )
 
 
-def solve_given_generators(tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False) -> RbsdeSolution:
+def leaf_representation(tree: ScenarioTree, gen: GeneratorSpec) -> Representation:
+    """Check xi and h, and represent Y_N = xi over the last step: the ``leaf``
+    of every solve in a Picard loop.  The per-branch residual is not kept."""
+    gen.validate(tree)
+    return replace(extract_representation(tree, tree.n_steps - 1, gen.xi), branch_residual=None)
+
+
+def solve_given_generators(
+    tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False, leaf=None
+) -> RbsdeSolution:
     """Solve the reflected equation when f and g are known processes.
 
     ``integrands_only`` returns Y, U and Z alone: what a fixed-point sweep reads.
+    ``leaf`` is ``leaf_representation(tree, gen)``; xi and h are then not checked again.
     """
-    gen.validate(tree)
+    gen.validate(tree, generators_only=leaf is not None)
     f_levels, g_levels = gen.given_levels(tree)
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, True, integrands_only)
+    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, True, integrands_only, leaf)
 
 
-def solve_mpp_only(tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False) -> RbsdeSolution:
+def solve_mpp_only(
+    tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False, leaf=None
+) -> RbsdeSolution:
     """Solve the jump-only reflected equation (no Brownian component, g = 0)."""
     if tree.n_brownian != 1:
         raise BrownianBranchesPresent("tree was built with Brownian branching")
-    gen.validate(tree)
+    gen.validate(tree, generators_only=leaf is not None)
     f_levels, g_levels = gen.given_levels(tree)
     if any(np.any(g != 0) for g in g_levels):
         raise ValueError("jump-only mode requires g identically zero")
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, False, integrands_only)
+    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, False, integrands_only, leaf)
 
 
 def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:
@@ -160,15 +177,17 @@ def _stopped_reward(gen: GeneratorSpec, cum: NodeProcess) -> NodeProcess:
 def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
     """Alternate route: envelope of the reward process plus its decomposition.
 
-    Returns (y, decomposition); Y is the envelope minus the running gains,
-    K is the decomposition's increasing part (``dk``, ``k_cum``).
+    Returns (y, decomposition, eta); Y is the envelope minus the running
+    gains, K is the decomposition's increasing part (``dk``, ``k_cum``) and
+    eta the reward process (``reward_process``) whose envelope it is.
     """
     gen.validate(tree)
     f_levels, g_levels = gen.given_levels(tree)
     cum = running_gains(tree, f_levels, g_levels)
-    envelope = snell_envelope(tree, _stopped_reward(gen, cum))
+    eta = _stopped_reward(gen, cum)
+    envelope = snell_envelope(tree, eta)
     dec = doob_meyer(tree, envelope)
-    return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], dec
+    return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], dec, eta
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def criterion_route_equivalence(scale: str = "small"):
     for _ in range(_count(scale, 50)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         direct = solve_given_generators(tree, gen)
-        y, dec = solve_via_snell(tree, gen)
+        y, dec, _ = solve_via_snell(tree, gen)
         for k in range(tree.n_steps + 1):
             worst = max(worst, float(np.max(np.abs(direct.y[k] - y[k]))))
             worst = max(worst, float(np.max(np.abs(direct.k_cum[k] - dec.k_cum[k]))))

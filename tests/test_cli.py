@@ -205,6 +205,20 @@ def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
         assert checks["minimal_push"]["passed"] and checks["equation_residual"]["passed"]
 
 
+def test_run_checks_builds_the_reward_process_once(monkeypatch):
+    """The envelope route hands back the reward process that the contact check reads."""
+    from rbsdetree import cli, rbsde
+
+    calls = []
+    real = rbsde.running_gains
+    monkeypatch.setattr(rbsde, "running_gains", lambda *a: calls.append(1) or real(*a))
+    tree, gen = build_problem(parse_config(yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())))
+    sol = cli.solve_mpp_only(tree, gen)
+    checks = cli.run_checks(tree, gen, sol, gen, beta=1.0)
+    assert calls == [1]
+    assert checks["route_equivalence"]["passed"] and checks["push_only_on_contact"]["passed"]
+
+
 def test_exit_codes(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.yaml")]) == 2
     bad = _write(tmp_path, {**BASE, "mode": "mpp-only"}, "bad.yaml")

@@ -1,5 +1,7 @@
 """From argv and YAML text to a config: the loader and the argument parser."""
 
+import warnings
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -149,3 +151,43 @@ def test_verify_with_unusable_output_path_exits_2_before_the_criteria(tmp_path, 
     assert main(["verify", "--out", str(tmp_path / out)]) == 2
     assert "config error: --out: cannot create directory" in capsys.readouterr().err
     assert runs == []
+
+
+def _shipped(name, **changes):
+    """A shipped config with some fields of its sections replaced."""
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    for section, fields in changes.items():
+        raw[section] = {**raw[section], **fields}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "name, verb, changes, fieldname, detail",
+    [
+        ("picard_affine", "solve", {"barrier": {"leaf_slack": -1.0}}, "barrier.leaf_slack", "by 7.660e-01"),
+        ("mpp_only", "oracle", {"barrier": {"leaf_slack": -1.0}}, "barrier.leaf_slack", "by 4.000e-01"),
+        ("picard_affine", "solve", {"terminal": {"w": 1.5e308}}, "terminal", "non-finite"),
+        ("picard_affine", "solve", {"barrier": {"w": 1.5e308}}, "barrier", "non-finite"),
+    ],
+    ids=["slack-picard", "slack-oracle", "payoff-overflow", "barrier-overflow"],
+)
+def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
+    tmp_path, capsys, monkeypatch, name, verb, changes, fieldname, detail
+):
+    solves = []
+    for attr in ("solve_given_generators", "solve_mpp_only", "picard_solve", "brute_force_value"):
+        monkeypatch.setattr(cli, attr, lambda *a, _n=attr, **kw: solves.append(_n))
+    config = _write(tmp_path, _shipped(name, **changes))
+    with warnings.catch_warnings():  # an overflow while building xi or h is not reported as well
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([verb, "--config", config, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2 and f"config error: {fieldname}: " in err and detail in err
+    assert solves == []
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_a_negative_slack_that_keeps_the_barrier_below_the_payoff_runs(tmp_path, capsys):
+    raw = _shipped("reflected_binomial", barrier={"base": [0.5, -1.0], "leaf_slack": -1.0})
+    assert main(["solve", "--config", _write(tmp_path, raw), "--out", str(tmp_path / "run")]) == 0
+    assert "10/10 checks passed" in capsys.readouterr().out

@@ -237,3 +237,36 @@ def test_jump_only_sweep_rejects_a_nonzero_g():
     g_state = lambda tree_, k, y, z: np.full(tree_.level_size(k), 0.1)  # noqa: E731
     with pytest.raises(ValueError, match="g identically zero"):
         picard_solve(tree, replace(gen, g_state=g_state), cfg)
+
+
+@pytest.mark.parametrize("n_brownian", [1, 2])
+def test_the_leaf_level_is_represented_once_per_solve(monkeypatch, n_brownian):
+    """Y_N = xi in every sweep, so its representation at k = N-1 is made once, not once per sweep."""
+    from rbsdetree import rbsde
+
+    tree, gen, cfg = _instance(7, n_brownian)
+    leaf_calls = []
+    for name in ("extract_representation", "representation_integrands"):
+        def counted(tree_, k, v_next, _real=getattr(rbsde, name), _name=name):
+            if k == tree_.n_steps - 1:
+                leaf_calls.append(_name)
+            return _real(tree_, k, v_next)
+
+        monkeypatch.setattr(rbsde, name, counted)
+    trace = picard_solve(tree, gen, cfg)
+    assert len(trace.distances) >= 3
+    assert leaf_calls == ["extract_representation"]
+
+
+def test_a_barrier_above_the_payoff_raises_before_the_first_sweep(monkeypatch):
+    from rbsdetree import picard
+
+    tree, gen, cfg = _instance(8, 2)
+    calls = []
+    for name in ("solve_given_generators", "solve_mpp_only"):
+        monkeypatch.setattr(picard, name, lambda *a, _n=name, **kw: calls.append(_n))
+    f_state = lambda tree_, k, y, u: calls.append("f_state") or gen.f_state(tree_, k, y, u)  # noqa: E731
+    h = gen.h[:-1] + [gen.xi + 0.25]
+    with pytest.raises(ValueError, match="barrier exceeds terminal payoff at a leaf by 2.500e-01"):
+        picard_solve(tree, replace(gen, h=h, f_state=f_state), cfg)
+    assert calls == []

@@ -69,7 +69,7 @@ def test_path_sum_is_the_sum_along_ancestors(tree, seed):
 def test_direct_and_envelope_routes_agree(problem):
     tree, gen = problem
     direct = solve_given_generators(tree, gen)
-    y, dec = solve_via_snell(tree, gen)
+    y, dec, _ = solve_via_snell(tree, gen)
     for k in range(tree.n_steps + 1):
         assert np.max(np.abs(direct.y[k] - y[k])) <= 1e-10
         assert np.max(np.abs(direct.k_cum[k] - dec.k_cum[k])) <= 1e-10

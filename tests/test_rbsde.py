@@ -8,6 +8,7 @@ from rbsdetree import (
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,
+    reward_process,
     solve_given_generators,
     solve_mpp_only,
     solve_via_snell,
@@ -52,10 +53,12 @@ def test_route_equivalence_and_k_agreement():
     for _ in range(10):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         direct = solve_given_generators(tree, gen)
-        y, dec = solve_via_snell(tree, gen)
+        y, dec, eta = solve_via_snell(tree, gen)
         for k in range(tree.n_steps + 1):
             assert np.allclose(direct.y[k], y[k], atol=1e-10)
             assert np.allclose(direct.k_cum[k], dec.k_cum[k], atol=1e-10)
+        # the reward process it returns is the one ``reward_process`` builds, bit for bit
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(eta, reward_process(tree, gen), strict=True))
 
 
 def test_mpp_only_guards():
