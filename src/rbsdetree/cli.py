@@ -1,9 +1,11 @@
 """Command-line entry point: config ingestion, orchestration, persistence.
 
-Verbs: solve, picard, oracle, simulate, norms, verify.  Configuration is a
-YAML file; results are a summary JSON record plus CSV node tables in the
-output directory.  Exit codes: 0 all checks pass, 1 a check failed, 2 the
-configuration is invalid.
+Verbs: solve, oracle, simulate, norms, verify.  ``solve`` runs the configured
+mode (given, picard or mpp-only).  Configuration is a YAML file; results are
+a summary JSON record plus CSV node tables in the output directory.  Exit
+codes: 0 all checks pass, 1 a check failed, 2 the configuration is invalid:
+a field is malformed, the problem data or the norm weights overflow, or the
+output directory cannot be written.
 """
 
 from __future__ import annotations
@@ -15,20 +17,21 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import yaml
 
 from . import _kernels
 from .errors import BudgetExceeded, ConfigInvalid, EnumerationBudgetExceeded, RbsdeTreeError
-from .instances import affine_generators, linear_barrier, terminal_payoff
+from .instances import affine_generators, linear_barrier, state_levels, terminal_payoff
 from .lattice import DEFAULT_NODE_BUDGET, ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
-from .picard import picard_solve, select_contraction_parameters
+from .picard import ContractionConfig, PicardTrace, picard_solve, select_contraction_parameters
 from .rbsde import (
     BARRIER_TOL,
     GeneratorSpec,
+    RbsdeSolution,
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,
@@ -310,7 +313,12 @@ def _kernel_checked(path: str, build, *args) -> CompensatorSpec:
 
 
 def build_problem(cfg: RunConfig):
-    """Materialize (tree, generator spec) from a validated config."""
+    """Materialize (tree, generator spec) from a validated config.
+
+    ConfigInvalid names the field whose node values are not finite (payoff,
+    barrier, an f or g offset), a barrier above the payoff at a leaf, and
+    weights e^{beta A_T + gamma T} that overflow.
+    """
     try:
         tree = build_tree(
             TimeGrid.uniform(cfg.n_steps, cfg.horizon),
@@ -324,42 +332,28 @@ def build_problem(cfg: RunConfig):
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are named below
         xi = terminal_payoff(tree, **cfg.terminal)
         h = linear_barrier(tree, **cfg.barrier, xi=xi)
-    for path, levels in (("terminal", [xi]), ("barrier", h)):
+        f_off, g_off = [state_levels(tree, **c) for c in cfg.offsets]
+        terms = float(cfg.beta * tree.a_levels[-1]), float(cfg.gamma * tree.grid.times[-1])
+        weight = np.exp(terms[0] + terms[1])
+    for path, levels in ("terminal", [xi]), ("barrier", h), ("generator.f", f_off), ("generator.g", g_off):
         if not all(np.all(np.isfinite(level)) for level in levels):
             raise ConfigInvalid(path, "has a non-finite value at a node")
     gap = float(np.max(h[-1] - xi))
     if gap > BARRIER_TOL:
         raise ConfigInvalid("barrier.leaf_slack", f"the barrier exceeds the payoff at a leaf by {gap:.3e}")
-    return tree, _build_generator(cfg, tree, xi, h)
-
-
-def _offset_levels(tree: ScenarioTree, c: dict):
-    return [
-        c["const"]
-        + c["tanh_w"] * np.tanh(tree.w[k])
-        + c["n"] * tree.n_jumps[k]
-        + c["t"] * tree.grid.times[k]
-        + np.zeros(tree.level_size(k))
-        for k in range(tree.n_steps)
-    ]
-
-
-def _build_generator(cfg: RunConfig, tree: ScenarioTree, xi, h) -> GeneratorSpec:
-    """The generator spec of the configured family."""
-    f_off, g_off = (_offset_levels(tree, c) for c in cfg.offsets)
+    if not np.isfinite(weight):
+        raise ConfigInvalid(
+            "gamma" if terms[1] > terms[0] else "beta",
+            f"the norm weight e^(beta A_T + gamma T) = e^({terms[0]!r} + {terms[1]!r}) overflows",
+        )
     if cfg.affine is None:
         g_levels = None if cfg.brownian == "none" else g_off
-        return GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels)
+        return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels)
     f_state, g_state, constants = affine_generators(
         **cfg.affine, f_offset=lambda t, k: f_off[k], g_offset=lambda t, k: g_off[k]
     )
-    return GeneratorSpec(
-        xi=xi,
-        h=h,
-        f_state=f_state,
-        g_state=None if cfg.brownian == "none" else g_state,
-        lipschitz=constants(tree),
-    )
+    g_state = None if cfg.brownian == "none" else g_state
+    return tree, GeneratorSpec(xi=xi, h=h, f_state=f_state, g_state=g_state, lipschitz=constants(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +569,12 @@ def run_stopping(tree, gen, sol, epsilons, oracle: bool) -> dict:
     for tol, label in epsilons:
         rule = epsilon_optimal_time(tree, sol, gen.h, tol)
         reward = reward_of_rule(tree, gen, rule)
+        push = k_flatness_before_stop(tree, sol, rule)
         out[f"epsilon_{label}"] = {
             "reward": reward,
             "gap": y0 - reward,
-            "passed": bool(y0 <= reward + tol + 1e-12),
-            "push_before_stop": k_flatness_before_stop(tree, sol, rule),
+            "passed": bool(y0 <= reward + tol + 1e-12 and push <= 1e-12),
+            "push_before_stop": push,
         }
     star = smallest_optimal_time(tree, sol, gen.h)
     reward = reward_of_rule(tree, gen, star)
@@ -598,14 +593,12 @@ def run_stopping(tree, gen, sol, epsilons, oracle: bool) -> dict:
 
 
 def norm_table(tree, sol, beta: float, gamma: float) -> dict:
-    table = {
-        "Y_A": float(norm_sq(tree, sol.y, WeightedNorm("A", beta, gamma))),
-        "Y_W": float(norm_sq(tree, sol.y, WeightedNorm("W", beta, gamma))),
-        "Y_A_plus_lambda": float(norm_sq(tree, sol.y, WeightedNorm("A-plus-lambda", beta, gamma))),
-        "U_p": float(norm_sq(tree, sol.u, WeightedNorm("p", beta, gamma))),
-    }
+    """Squared weighted norms of Y (compensator clock, Lebesgue clock and both), U and Z."""
+    y_a, y_w = (norm_sq(tree, sol.y, WeightedNorm(kind, beta, gamma)) for kind in "AW")
+    table = {"Y_A": y_a, "Y_W": y_w, "Y_A_plus_lambda": y_a + y_w,
+             "U_p": norm_sq(tree, sol.u, WeightedNorm("p", beta, gamma))}
     if sol.z is not None:
-        table["Z_W"] = float(norm_sq(tree, sol.z, WeightedNorm("W", beta, gamma)))
+        table["Z_W"] = norm_sq(tree, sol.z, WeightedNorm("W", beta, gamma))
     return table
 
 
@@ -618,28 +611,46 @@ def _collect_verdicts(section, prefix, verdicts):
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
-def _solve(cfg: RunConfig, tree: ScenarioTree, gen: GeneratorSpec):
-    """Solve the configured problem in its mode.
+class Solved(NamedTuple):
+    """A configured problem, solved in its mode.
 
-    Returns (solution, the known-generator spec it exactly solves,
-    contraction parameters, Picard trace); the last two are None outside
-    picard mode.  In picard mode the final iterate exactly solves the
-    generators frozen at the previous one, and the distance trace certifies
-    the fixed-point gap.
+    ``frozen`` is the known-generator spec that ``sol`` exactly solves:
+    ``gen`` itself outside picard mode, where ``contraction`` and ``trace``
+    are None.  In picard mode it holds the generators frozen at the previous
+    iterate, and the distance trace certifies the fixed-point gap.
     """
+
+    tree: ScenarioTree
+    gen: GeneratorSpec
+    sol: RbsdeSolution
+    frozen: GeneratorSpec
+    contraction: Optional[ContractionConfig]
+    trace: Optional[PicardTrace]
+
+
+def _solve(cfg: RunConfig) -> Solved:
+    """Build the configured problem and solve it in its mode."""
+    tree, gen = build_problem(cfg)
     if cfg.mode == "picard":
         contraction = select_contraction_parameters(
             gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol
         )
         trace = picard_solve(tree, gen, contraction)
-        return trace.solution, trace.frozen_spec, contraction, trace
+        return Solved(tree, gen, trace.solution, trace.frozen_spec, contraction, trace)
     solve = solve_mpp_only if cfg.mode == "mpp-only" else solve_given_generators
-    return solve(tree, gen), gen, None, None
+    return Solved(tree, gen, solve(tree, gen), gen, None, None)
+
+
+def _finish(out_dir: Path, summary: dict, *lines: str) -> int:
+    """Write ``summary`` (after every other artifact), print ``lines``; 0 iff all checks passed."""
+    write_summary(out_dir, summary)
+    for line in lines:
+        print(line)
+    return 0 if summary["all_passed"] else 1
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    tree, gen = build_problem(cfg)
-    sol, frozen, contraction, trace = _solve(cfg, tree, gen)
+    tree, gen, sol, frozen, contraction, trace = _solve(cfg)
     checks = run_checks(tree, gen, sol, frozen, cfg.beta)
     stopping = run_stopping(tree, frozen, sol, cfg.epsilons, cfg.oracle)
     verdicts = {}
@@ -670,28 +681,18 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         verdicts=verdicts,
         all_passed=all(verdicts.values()),
     )
-    # The summary goes last, so that a run whose tables fail to write leaves none.
     write_solution_csv(out_dir, tree, frozen, sol)
     if trace is not None:
         write_trace_csv(out_dir, trace.distances)
-    write_summary(out_dir, summary)
     after = "" if trace is None else f" after {len(trace.distances)} iterations"
-    print(f"Y_0 = {summary['y0']!r}{after}; {sum(verdicts.values())}/{len(verdicts)} checks passed")
-    print(f"artifact written to {out_dir}")
-    return 0 if summary["all_passed"] else 1
-
-
-def cmd_picard(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.mode != "picard":
-        raise ConfigInvalid("mode", "the picard verb needs mode: picard")
-    return cmd_solve(cfg, out_dir)
+    line = f"Y_0 = {summary['y0']!r}{after}; {sum(verdicts.values())}/{len(verdicts)} checks passed"
+    return _finish(out_dir, summary, line, f"artifact written to {out_dir}")
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.affine is not None:
         raise ConfigInvalid("mode", "the oracle verb needs a given-generator family")
-    tree, gen = build_problem(cfg)
-    sol = _solve(cfg, tree, gen)[0]
+    tree, gen, sol = _solve(cfg)[:3]
     cert = brute_force_value(tree, gen, keep_table=False)
     y0 = float(sol.y[0][0])
     gap = abs(y0 - cert.value)
@@ -702,9 +703,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
         "gap": gap,
         "all_passed": bool(gap <= 1e-10),
     }
-    write_summary(out_dir, summary)
-    print(f"Y_0 = {y0!r}, oracle = {cert.value!r}, gap = {gap:.3e}")
-    return 0 if summary["all_passed"] else 1
+    return _finish(out_dir, summary, f"Y_0 = {y0!r}, oracle = {cert.value!r}, gap = {gap:.3e}")
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -736,35 +735,27 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         },
         "all_passed": bool(within),
     }
-    write_summary(out_dir, summary)
-    print(
-        f"mean count {mean:.4f} vs expected {expected:.4f} "
-        f"(3-sigma {3 * std:.4f}) over {n_paths} paths"
-    )
-    return 0 if within else 1
+    line = f"mean count {mean:.4f} vs expected {expected:.4f} (3-sigma {3 * std:.4f}) over {n_paths} paths"
+    return _finish(out_dir, summary, line)
 
 
 def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
-    tree, gen = build_problem(cfg)
-    sol, frozen, _, _ = _solve(cfg, tree, gen)
-    table = norm_table(tree, sol, cfg.beta, cfg.gamma)
+    run = _solve(cfg)
+    table = norm_table(run.tree, run.sol, cfg.beta, cfg.gamma)
     # In picard mode ``gen`` is state-dependent and its given levels are zero;
     # the frozen spec carries the f that the final iterate solves with.
-    f_levels, _ = frozen.given_levels(tree)
+    f_levels, _ = run.frozen.given_levels(run.tree)
     bound = None
     if cfg.beta > 0:
-        lhs, rhs = cauchy_weight_bound(tree, f_levels, cfg.beta)
-        bound = {"lhs": lhs, "rhs": rhs, "passed": bool(lhs <= rhs + 1e-12)}
+        lhs, rhs, excess = cauchy_weight_bound(run.tree, f_levels, cfg.beta)
+        bound = {"lhs": lhs, "rhs": rhs, "passed": bool(excess <= 1e-12)}
     summary = {
         "config": cfg.echo(),
         "norms": table,
         "cauchy_weight_bound": bound,
         "all_passed": bound is None or bound["passed"],
     }
-    write_summary(out_dir, summary)
-    for name, value in table.items():
-        print(f"{name} = {value!r}")
-    return 0 if summary["all_passed"] else 1
+    return _finish(out_dir, summary, *(f"{name} = {value!r}" for name, value in table.items()))
 
 
 def cmd_verify(scale: str, out_dir: Optional[Path]) -> int:
@@ -804,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rbsde-tree",
         description="Reflected backward solver and verification harness on scenario trees",
     )
-    verbs = ("solve", "picard", "oracle", "simulate", "norms", "verify")
+    verbs = ("solve", "oracle", "simulate", "norms", "verify")
     parser.add_argument("verb", choices=verbs)
     parser.add_argument("--config", help="YAML run configuration (every verb but verify)")
     parser.add_argument("--seed", type=int, help="override the config seed (not for verify)")
@@ -829,13 +820,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=_number(args.seed, "--seed", int, low=0))
-        handler = {
-            "solve": cmd_solve,
-            "picard": cmd_picard,
-            "oracle": cmd_oracle,
-            "simulate": cmd_simulate,
-            "norms": cmd_norms,
-        }[args.verb]
+        verbs = {"solve": cmd_solve, "oracle": cmd_oracle, "simulate": cmd_simulate, "norms": cmd_norms}
+        handler = verbs[args.verb]
         # Before any work, so that a bad path never costs a solve.
         name = "out" if cfg.out and not args.out else "--out"
         out_dir = _make_out_dir(Path(args.out or cfg.out or "out"), name)

@@ -112,14 +112,18 @@ def linear_barrier(
     return h
 
 
-def _random_state_levels(rng, tree, scale=1.0):
-    """Random given process per level, a smooth function of the node state."""
-    c = rng.uniform(-scale, scale, size=4)
+def state_levels(tree: ScenarioTree, const=0.0, tanh_w=0.0, n=0.0, t=0.0) -> list:
+    """const + tanh_w * tanh(W_k) + n * N_k + t * t_k on levels 0..N-1.
+
+    A given generator process, smooth in the node state; the closing zeros
+    make every level a full per-node array.
+    """
     return [
-        c[0]
-        + c[1] * np.tanh(tree.w[k])
-        + c[2] * tree.n_jumps[k]
-        + c[3] * tree.grid.times[k]
+        const
+        + tanh_w * np.tanh(tree.w[k])
+        + n * tree.n_jumps[k]
+        + t * tree.grid.times[k]
+        + np.zeros(tree.level_size(k))
         for k in range(tree.n_steps)
     ]
 
@@ -166,8 +170,8 @@ def random_given_instance(
         leaf_slack=float(rng.choice([0.0, 0.5, 2.0])),
         xi=xi,
     )
-    f_levels = _random_state_levels(rng, tree)
-    g_levels = _random_state_levels(rng, tree) if n_brownian == 2 else None
+    f_levels = state_levels(tree, *rng.uniform(-1.0, 1.0, size=4))
+    g_levels = state_levels(tree, *rng.uniform(-1.0, 1.0, size=4)) if n_brownian == 2 else None
     return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_levels, g_levels=g_levels)
 
 
@@ -193,8 +197,8 @@ def random_picard_instance(rng, n_brownian: int = 2, max_lip: float = 0.5):
     fb = float(rng.uniform(-max_lip, max_lip))
     ga = float(rng.uniform(-max_lip, max_lip)) if n_brownian == 2 else 0.0
     gz = float(rng.uniform(-max_lip, max_lip)) if n_brownian == 2 else 0.0
-    f_off = _random_state_levels(rng, tree)
-    g_off = _random_state_levels(rng, tree) if n_brownian == 2 else None
+    f_off = state_levels(tree, *rng.uniform(-1.0, 1.0, size=4))
+    g_off = state_levels(tree, *rng.uniform(-1.0, 1.0, size=4)) if n_brownian == 2 else None
     f_state, g_state, constants = affine_generators(
         fa, fb, fc=np.ones(tree.n_marks), ga=ga, gz=gz,
         f_offset=lambda t, k: f_off[k],

@@ -236,15 +236,13 @@ class Representation:
     (conditional-jump differences), ``residual`` the L2 norm under the child
     measure of the part not spanned by dW and the compensated jump
     indicators, ``branch_residual`` that part per child branch; both are
-    None when only the integrands were asked for.  ``degenerate`` flags
-    levels where a conditioning event had probability zero and u was set to
-    zero for every mark.
+    None when only the integrands were asked for.  Where a conditioning
+    event has probability zero, u is zero for every mark.
     """
 
     mean: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    degenerate: bool
     residual: Optional[np.ndarray] = None
     branch_residual: Optional[np.ndarray] = None
 
@@ -264,8 +262,7 @@ def representation_integrands(tree: ScenarioTree, k: int, v_next: np.ndarray) ->
     z = (vmat @ (p * tree.branch_dw[k])) / tree.grid.steps[k] if tree.n_brownian == 2 else np.zeros(n_k)
 
     u = np.zeros((n_k, tree.n_marks))
-    degenerate = tree.jump_prob[k] <= 0
-    if not degenerate:
+    if tree.jump_prob[k] > 0:
         no_jump = mark < 0
         w0 = p * no_jump
         cond_nojump = (vmat @ w0) / w0.sum()
@@ -273,11 +270,9 @@ def representation_integrands(tree: ScenarioTree, k: int, v_next: np.ndarray) ->
             sel = mark == e
             we = p * sel
             tot = we.sum()
-            if tot <= 0:
-                degenerate = True
-                continue
-            u[:, e] = (vmat @ we) / tot - cond_nojump
-    return Representation(mean=mean, z=z, u=u, degenerate=bool(degenerate))
+            if tot > 0:
+                u[:, e] = (vmat @ we) / tot - cond_nojump
+    return Representation(mean=mean, z=z, u=u)
 
 
 def extract_representation(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Representation:

@@ -300,9 +300,7 @@ def criterion_representation(scale: str = "small"):
         tree, gen = _separable_instance(rng, i % 3)
         sol = solve_given_generators(tree, gen)
         rep = check_equation_residual(tree, sol, gen)
-        worst_sep = max(
-            worst_sep, max(float(np.max(np.abs(r))) for r in rep.branch_residuals)
-        )
+        worst_sep = max(worst_sep, rep.max_branch_residual)
 
     worst_cmean = 0.0
     peaks, predicted = [], []

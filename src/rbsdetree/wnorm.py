@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BetaZero
 from .lattice import NodeProcess, ScenarioTree, level_expectation
 
-KINDS = ("A", "p", "W", "A-plus-lambda")
+KINDS = ("A", "p", "W")
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ def _weights(tree: ScenarioTree, w: WeightedNorm) -> np.ndarray:
 
 def norm_sq(tree: ScenarioTree, x: NodeProcess, w: WeightedNorm) -> float:
     """Squared weighted norm of a node process (mark-indexed for kind "p")."""
-    if w.kind == "A-plus-lambda":
-        return norm_sq(tree, x, WeightedNorm("A", w.beta, w.gamma)) + norm_sq(
-            tree, x, WeightedNorm("W", w.beta, w.gamma)
-        )
     weights = _weights(tree, w)
     clock = tree.grid.steps if w.kind == "W" else tree.da
     total = 0.0
@@ -60,7 +56,9 @@ def cauchy_weight_bound(tree: ScenarioTree, f: NodeProcess, beta: float):
 
     The right-hand side weights each increment at the step's right endpoint,
     which is the discretization under which the bound provably holds on any
-    grid.  Returns (lhs, rhs) as maxima over paths.
+    grid.  Returns (lhs, rhs, excess): the maxima over paths of each side,
+    and the largest path-wise lhs - rhs, which is at most rounding error
+    where the bound holds.
     """
     if beta == 0:
         raise BetaZero("the weighted bound requires beta > 0")
@@ -68,7 +66,5 @@ def cauchy_weight_bound(tree: ScenarioTree, f: NodeProcess, beta: float):
     fs = [np.asarray(f[k], dtype=float) for k in range(tree.n_steps)]
     lin = tree.path_sum(fs[k] * tree.da[k] for k in range(tree.n_steps))
     wsq = tree.path_sum(np.exp(beta * a[k + 1]) * fs[k] ** 2 * tree.da[k] for k in range(tree.n_steps))
-    assert np.all(lin[-1] ** 2 <= wsq[-1] / beta + 1e-12), "weighted bound broken path-wise"
-    lhs = float(np.max(lin[-1] ** 2))
-    rhs = float(np.max(wsq[-1])) / beta
-    return lhs, rhs
+    lhs, rhs = lin[-1] ** 2, wsq[-1] / beta
+    return float(np.max(lhs)), float(np.max(rhs)), float(np.max(lhs - rhs))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsdetree import GeneratorSpec, RbsdeSolution, cli
-from rbsdetree.cli import _float_text, build_problem, parse_config, write_solution_csv
+from rbsdetree.cli import _float_text, parse_config, write_solution_csv
 from rbsdetree.instances import make_tree
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -69,10 +69,8 @@ def _writer_bytes(tree, gen, sol, chunk=None, reference=True):
 
 def _both_writers(raw: dict, chunk=None):
     """(new bytes, reference bytes, solution) for the solve of ``raw``."""
-    cfg = parse_config(raw)
-    tree, gen = build_problem(cfg)
-    sol, frozen = cli._solve(cfg, tree, gen)[:2]
-    return (*_writer_bytes(tree, frozen, sol, chunk), sol)
+    run = cli._solve(parse_config(raw))
+    return (*_writer_bytes(run.tree, run.frozen, run.sol, chunk), run.sol)
 
 
 coefficient = st.floats(-1.0, 1.0)
@@ -233,11 +231,9 @@ def test_leaf_level_larger_than_one_chunk():
 
 def _leaf_heavy_problem():
     """The 8-step, 65,536-leaf problem of ``test_leaf_level_larger_than_one_chunk``."""
-    cfg = parse_config(LEAF_HEAVY)
-    tree, gen = build_problem(cfg)
-    sol, frozen = cli._solve(cfg, tree, gen)[:2]
-    assert tree.n_leaves == 65_536
-    return tree, frozen, sol
+    run = cli._solve(parse_config(LEAF_HEAVY))
+    assert run.tree.n_leaves == 65_536
+    return run.tree, run.frozen, run.sol
 
 
 def test_batches_that_split_thousand_blocks_and_levels_match_reference_writer():

@@ -100,7 +100,7 @@ def test_determinism_bit_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_picard_verb(tmp_path):
+def test_solve_in_picard_mode_writes_the_trace(tmp_path):
     raw = {
         **BASE,
         "grid": {"n_steps": 2, "horizon": 1.0},
@@ -114,7 +114,7 @@ def test_picard_verb(tmp_path):
     }
     path = _write(tmp_path, raw)
     out = tmp_path / "run"
-    assert main(["picard", "--config", path, "--out", str(out)]) == 0
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"]["picard.contraction_rate"] is True
     trace = (out / "trace.csv").read_text().splitlines()
@@ -264,7 +264,7 @@ def test_norms_honours_picard_iteration_cap(tmp_path):
     raw = yaml.safe_load(config.read_text())
     raw["picard"]["max_iter"] = 2
     path = _write(tmp_path, raw)
-    for verb in ("solve", "picard", "norms"):
+    for verb in ("solve", "norms"):
         assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 1
 
 

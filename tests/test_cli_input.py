@@ -1,7 +1,10 @@
 """From argv and YAML text to a config: the loader and the argument parser."""
 
+import dataclasses
+import json
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from rbsdetree import cli
 from rbsdetree.cli import main
+from rbsdetree.stopping import StoppingRule
 
 from test_cli import BASE, CONFIGS, _write
 
@@ -105,6 +109,7 @@ def test_unreadable_config_exits_2_naming_config(tmp_path, capsys, content):
         ["verify", "--config", "X"],
         ["verify", "--scale", "huge"],
         ["solve", "--config", "X", "--seed", "abc"],
+        ["picard", "--config", "X"],
     ],
 )
 def test_bad_command_line_exits_2(tmp_path, capsys, argv):
@@ -154,11 +159,14 @@ def test_verify_with_unusable_output_path_exits_2_before_the_criteria(tmp_path, 
 
 
 def _shipped(name, **changes):
-    """A shipped config with some fields of its sections replaced."""
+    """A shipped config with some fields of its sections, or some top-level scalars, replaced."""
     raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
     for section, fields in changes.items():
-        raw[section] = {**raw[section], **fields}
+        raw[section] = {**raw.get(section, {}), **fields} if isinstance(fields, dict) else fields
     return raw
+
+
+OVERFLOW = {"const": 1.5e308, "t": 1.5e308}  # finite at t = 0, past the largest float later
 
 
 @pytest.mark.parametrize(
@@ -168,8 +176,16 @@ def _shipped(name, **changes):
         ("mpp_only", "oracle", {"barrier": {"leaf_slack": -1.0}}, "barrier.leaf_slack", "by 4.000e-01"),
         ("picard_affine", "solve", {"terminal": {"w": 1.5e308}}, "terminal", "non-finite"),
         ("picard_affine", "solve", {"barrier": {"w": 1.5e308}}, "barrier", "non-finite"),
+        ("reflected_binomial", "solve", {"grid": {"n_steps": 3}, "generator": {"f": OVERFLOW}},
+         "generator.f", "non-finite"),
+        ("picard_affine", "solve", {"generator": {"f": OVERFLOW}}, "generator.f", "non-finite"),
+        ("picard_affine", "solve", {"generator": {"g": OVERFLOW}}, "generator.g", "non-finite"),
+        ("mpp_only", "norms", {"generator": {"f": OVERFLOW}}, "generator.f", "non-finite"),
+        ("mpp_only", "solve", {"beta": 1000}, "beta", "e^(1000.0 + 0.0) overflows"),
+        ("reflected_binomial", "norms", {"gamma": 1000}, "gamma", "e^(0.0 + 1000.0) overflows"),
     ],
-    ids=["slack-picard", "slack-oracle", "payoff-overflow", "barrier-overflow"],
+    ids=["slack-picard", "slack-oracle", "payoff-overflow", "barrier-overflow", "f-overflow-given",
+         "f-overflow-picard", "g-overflow-picard", "f-overflow-norms", "beta-overflow", "gamma-overflow"],
 )
 def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     tmp_path, capsys, monkeypatch, name, verb, changes, fieldname, detail
@@ -185,6 +201,58 @@ def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     assert code == 2 and f"config error: {fieldname}: " in err and detail in err
     assert solves == []
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_norms_with_weights_scaled_below_the_bound_exits_1(tmp_path, monkeypatch):
+    build = cli.build_problem
+
+    def lighter_weights(cfg):  # every weight e^{beta A} times e^{-50 beta}
+        tree, gen = build(cfg)
+        return dataclasses.replace(tree, a_levels=tree.a_levels - 50.0), gen
+
+    monkeypatch.setattr(cli, "build_problem", lighter_weights)
+    out = tmp_path / "run"
+    assert main(["norms", "--config", str(CONFIGS / "mpp_only.yaml"), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cauchy_weight_bound"]["passed"] is False
+    assert summary["all_passed"] is False
+
+
+def test_an_epsilon_rule_that_stops_after_a_push_fails(tmp_path, monkeypatch):
+    rule_of = cli.epsilon_optimal_time
+
+    def one_level_later(tree, sol, h, tol):
+        stop = rule_of(tree, sol, h, tol).stop
+        later = [np.zeros(1, dtype=bool)]
+        later += [tree.repeat_to_children(stop[k], k) for k in range(tree.n_steps - 1)]
+        return StoppingRule.from_levels([*later, stop[-1]])
+
+    # At eps = 1 the root stops; a step later the reward is still within eps of Y_0,
+    # but the barrier pushed at the root before the stop.
+    config = _write(tmp_path, _shipped("reflected_binomial", stopping={"epsilons": [1.0]}))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", config, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "epsilon_optimal_time", one_level_later)
+    assert main(["solve", "--config", config, "--out", str(out)]) == 1
+    record = json.loads((out / "summary.json").read_text())["stopping"]["epsilon_1.0"]
+    assert record["gap"] <= 1.0 and record["push_before_stop"] == 0.5
+    assert record["passed"] is False
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("name", ["mpp_only", "picard_affine", "reflected_binomial"])
+@pytest.mark.parametrize("verb", ["solve", "oracle", "simulate", "norms"])
+def test_summaries_of_shipped_configs_are_strict_json(tmp_path, name, verb):
+    out = tmp_path / "run"
+    code = main([verb, "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)])
+    if verb == "oracle" and name == "picard_affine":  # the oracle needs a given generator
+        assert code == 2 and not (out / "summary.json").exists()
+        return
+    assert code == 0
+    json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_a_negative_slack_that_keeps_the_barrier_below_the_payoff_runs(tmp_path, capsys):

@@ -133,14 +133,13 @@ def test_process_helpers():
     assert all(np.all(cum[k] == k) for k in range(tree.n_steps + 1))
 
 
-def test_degenerate_levels_flagged():
+def test_jumpless_level_has_zero_jump_integrand():
     tree = make_tree(2, 1.0, ("a",), rate=0.0)  # no jump branches at all
     rep = extract_representation(tree, 0, np.arange(2, dtype=float))
-    assert rep.degenerate
     assert np.all(rep.u == 0.0)
     tree = make_tree(2, 1.0, ("a",), rate=1.0)
     rep = extract_representation(tree, 0, np.arange(tree.level_size(1), dtype=float))
-    assert not rep.degenerate
+    assert np.all(rep.u != 0.0)
 
 
 @pytest.mark.parametrize("rate, n_brownian", [(1.1, 2), (0.0, 2), (0.8, 1)])
@@ -152,6 +151,5 @@ def test_integrands_are_those_of_the_full_representation(rate, n_brownian):
         full, part = extract_representation(tree, k, v), representation_integrands(tree, k, v)
         for name in ("mean", "z", "u"):
             assert getattr(full, name).tobytes() == getattr(part, name).tobytes()
-        assert full.degenerate == part.degenerate
         assert part.residual is None and part.branch_residual is None
         assert full.residual.shape == (tree.level_size(k),)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rbsdetree import (
     norm_sq,
     solve_mpp_only,
 )
+from rbsdetree.cli import norm_table
 from rbsdetree.instances import make_tree
 from rbsdetree.verify import fixture_jump_count
 
@@ -28,7 +31,7 @@ def test_kind_and_sign_validation():
 def test_zero_process_and_lebesgue_mass():
     tree = make_tree(4, 2.0, ("a",), rate=0.7)
     zeros = _constant(tree, 0.0)
-    for kind in ("A", "W", "p", "A-plus-lambda"):
+    for kind in ("A", "W", "p"):
         w = WeightedNorm(kind, 1.0, 0.5)
         x = zeros
         if kind == "p":
@@ -55,7 +58,7 @@ def _random_process(tree, rng):
 def test_homogeneity_and_triangle():
     tree = make_tree(3, 1.0, ("a",), rate=0.9)
     rng = np.random.default_rng(0)
-    for kind in ("A", "W", "A-plus-lambda"):
+    for kind in ("A", "W"):
         w = WeightedNorm(kind, 0.7, 0.3)
         for _ in range(10):
             x = _random_process(tree, rng)
@@ -83,25 +86,33 @@ def test_monotone_in_beta_and_gamma_equivalence():
         assert lo - 1e-14 <= with_g <= np.exp(gamma * 1.0) * lo + 1e-12
 
 
-def test_a_plus_lambda_is_sum():
+def test_norm_table_integrates_y_against_both_clocks():
     tree = make_tree(3, 1.0, ("a",), rate=0.9)
     rng = np.random.default_rng(2)
-    x = _random_process(tree, rng)
-    total = norm_sq(tree, x, WeightedNorm("A-plus-lambda", 0.8, 0.2))
-    parts = norm_sq(tree, x, WeightedNorm("A", 0.8, 0.2)) + norm_sq(
-        tree, x, WeightedNorm("W", 0.8, 0.2)
+    y = _random_process(tree, rng)
+    u = [x[:, None] for x in _random_process(tree, rng)]
+    table = norm_table(tree, SimpleNamespace(y=y, u=u, z=None), 0.8, 0.2)
+    assert table["Y_A_plus_lambda"] == table["Y_A"] + table["Y_W"]
+    # sum_k e^{beta A_k + gamma t_k} E[Y_k^2] (dA_k + dt_k), summed node by node
+    direct = sum(
+        np.exp(0.8 * tree.a_levels[k] + 0.2 * tree.grid.times[k])
+        * np.sum(tree.prob[k] * y[k] ** 2)
+        * (tree.da[k] + tree.grid.steps[k])
+        for k in range(tree.n_steps)
     )
-    assert total == pytest.approx(parts, abs=1e-12)
+    assert table["Y_A_plus_lambda"] == pytest.approx(direct, rel=1e-12)
+    assert "Z_W" not in table
 
 
 def test_cauchy_weight_bound_examples():
     tree = make_tree(4, 1.0, ("a",), rate=1.0)  # A(T) = 1
     zeros = _constant(tree, 0.0)
-    assert cauchy_weight_bound(tree, zeros, 1.0) == (0.0, 0.0)
+    assert cauchy_weight_bound(tree, zeros, 1.0) == (0.0, 0.0, 0.0)
     ones = _constant(tree, 1.0)
-    lhs, rhs = cauchy_weight_bound(tree, ones, 1.0)
+    lhs, rhs, excess = cauchy_weight_bound(tree, ones, 1.0)
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs >= 1.0 - 1e-12
+    assert excess <= 1e-12
     with pytest.raises(BetaZero):
         cauchy_weight_bound(tree, ones, 0.0)
 
@@ -112,13 +123,13 @@ def test_cauchy_weight_bound_random_sweep():
         tree = make_tree(int(rng.integers(1, 5)), 1.0, ("a",), rate=float(rng.uniform(0.2, 2.0)))
         f = _random_process(tree, rng)
         beta = float(rng.uniform(0.1, 3.0))
-        lhs, rhs = cauchy_weight_bound(tree, f, beta)
-        assert lhs <= rhs + 1e-12
+        lhs, rhs, excess = cauchy_weight_bound(tree, f, beta)
+        assert lhs <= rhs + 1e-12 and excess <= 1e-12
 
 
 def test_cauchy_weight_bound_holds_on_coarse_grids():
     # a single step with a large compensator increment stresses the bound
     tree = make_tree(1, 1.0, ("a",), rate=np.log(2.0), n_brownian=1)
     ones = _constant(tree, 1.0)
-    lhs, rhs = cauchy_weight_bound(tree, ones, 2.0)
-    assert lhs <= rhs + 1e-12
+    lhs, rhs, excess = cauchy_weight_bound(tree, ones, 2.0)
+    assert lhs <= rhs + 1e-12 and excess <= 1e-12
