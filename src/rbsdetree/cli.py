@@ -4,8 +4,11 @@ Verbs: solve, oracle, simulate, norms, verify.  ``solve`` runs the configured
 mode (given, picard or mpp-only).  Configuration is a YAML file; results are
 a summary JSON record plus CSV node tables in the output directory.  Exit
 codes: 0 all checks pass, 1 a check failed, 2 the configuration is invalid:
-a field is malformed, the problem data or the norm weights overflow, or the
-output directory cannot be written.
+a field is malformed, the problem data, the norm weights or a weighted norm
+overflow, or the output directory cannot be written.  A solve's checks read
+the one known-generator spec that its solution solves (in picard mode, the
+generators frozen at the last iterate), and its stopping checks the one
+stopped reward built from that spec.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .rbsde import (
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,
+    reward_process,
     solve_given_generators,
     solve_mpp_only,
     solve_via_snell,
@@ -312,6 +316,11 @@ def _kernel_checked(path: str, build, *args) -> CompensatorSpec:
         raise ConfigInvalid(path, str(exc)) from None
 
 
+def _weight_field(tree: ScenarioTree, beta: float, gamma: float) -> str:
+    """The field a weight overflow names: ``gamma`` if gamma T outweighs beta A_T, else ``beta``."""
+    return "gamma" if gamma * float(tree.grid.times[-1]) > beta * float(tree.a_levels[-1]) else "beta"
+
+
 def build_problem(cfg: RunConfig):
     """Materialize (tree, generator spec) from a validated config.
 
@@ -343,7 +352,7 @@ def build_problem(cfg: RunConfig):
         raise ConfigInvalid("barrier.leaf_slack", f"the barrier exceeds the payoff at a leaf by {gap:.3e}")
     if not np.isfinite(weight):
         raise ConfigInvalid(
-            "gamma" if terms[1] > terms[0] else "beta",
+            _weight_field(tree, cfg.beta, cfg.gamma),
             f"the norm weight e^(beta A_T + gamma T) = e^({terms[0]!r} + {terms[1]!r}) overflows",
         )
     if cfg.affine is None:
@@ -359,22 +368,10 @@ def build_problem(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # Artifact persistence
 # ---------------------------------------------------------------------------
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def write_summary(out_dir: Path, summary: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "summary.json"
-    path.write_text(
-        json.dumps(summary, sort_keys=True, indent=2, default=_json_default) + "\n"
-    )
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -510,10 +507,10 @@ def write_trace_csv(out_dir: Path, distances):
 # ---------------------------------------------------------------------------
 # Checks shared by the solve-family verbs
 # ---------------------------------------------------------------------------
-def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
-    """Every applicable invariant check with its verdict and diagnostics."""
-    sk = check_skorohod(tree, sol, gen.h)
-    eq = check_equation_residual(tree, sol, frozen)
+def run_checks(tree, sol, spec: GeneratorSpec, beta: float) -> dict:
+    """Every applicable invariant check of ``sol``, the solution of the known-generator ``spec``."""
+    sk = check_skorohod(tree, sol, spec.h)
+    eq = check_equation_residual(tree, sol, spec)
     checks = {
         "minimal_push": {
             "passed": bool(sk.passed),
@@ -527,13 +524,8 @@ def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
             "max_conditional_mean": eq.max_conditional_mean,
             "max_mismatch_vs_representation": eq.max_mismatch_vs_representation,
         },
-        "terminal_match": {
-            "passed": bool(np.max(np.abs(sol.y[-1] - gen.xi)) <= 1e-12),
-            "max_gap": float(np.max(np.abs(sol.y[-1] - gen.xi))),
-        },
     }
-    # ``frozen`` is a known-generator spec in every mode, so the envelope route applies.
-    y, dec, eta = solve_via_snell(tree, frozen)
+    y, dec, eta = solve_via_snell(tree, spec)
     gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
     support = envelope_jump_support(tree, dec, eta)
     del y, dec, eta  # four node processes, freed before the majorant builds its own
@@ -543,7 +535,7 @@ def run_checks(tree, gen, sol, frozen: GeneratorSpec, beta: float) -> dict:
         "violations": [list(v) for v in support[:10]],
     }
     if beta > 0:
-        viols = a_priori_majorant(tree, frozen, sol, beta=beta)
+        viols = a_priori_majorant(tree, spec, sol, beta=beta)
         checks["a_priori_majorant"] = {
             "passed": not viols,
             "violations": [list(v) for v in viols[:10]],
@@ -562,13 +554,17 @@ def _certificate_record(tree, cert) -> dict:
     }
 
 
-def run_stopping(tree, gen, sol, epsilons, oracle: bool) -> dict:
-    """Stopping-rule checks: each (tolerance, label) in ``epsilons``, first contact, the oracle."""
+def run_stopping(tree, spec: GeneratorSpec, sol, epsilons, oracle: bool) -> dict:
+    """Stopping-rule checks: each (tolerance, label) in ``epsilons``, first contact, the oracle.
+
+    Every rule is valued on the one stopped reward of ``spec``, the problem ``sol`` solves.
+    """
     out = {}
     y0 = float(sol.y[0][0])
+    eta = reward_process(tree, spec)
     for tol, label in epsilons:
-        rule = epsilon_optimal_time(tree, sol, gen.h, tol)
-        reward = reward_of_rule(tree, gen, rule)
+        rule = epsilon_optimal_time(tree, sol, spec.h, tol)
+        reward = reward_of_rule(tree, eta, rule)
         push = k_flatness_before_stop(tree, sol, rule)
         out[f"epsilon_{label}"] = {
             "reward": reward,
@@ -576,12 +572,12 @@ def run_stopping(tree, gen, sol, epsilons, oracle: bool) -> dict:
             "passed": bool(y0 <= reward + tol + 1e-12 and push <= 1e-12),
             "push_before_stop": push,
         }
-    star = smallest_optimal_time(tree, sol, gen.h)
-    reward = reward_of_rule(tree, gen, star)
+    star = smallest_optimal_time(tree, sol, spec.h)
+    reward = reward_of_rule(tree, eta, star)
     out["first_contact"] = {"reward": reward, "passed": bool(abs(y0 - reward) <= 1e-10)}
     if oracle:
         try:
-            cert = brute_force_value(tree, gen, keep_table=False)
+            cert = brute_force_value(tree, eta, keep_table=False)
             out["oracle"] = {
                 **_certificate_record(tree, cert),
                 "gap": y0 - cert.value,
@@ -593,12 +589,20 @@ def run_stopping(tree, gen, sol, epsilons, oracle: bool) -> dict:
 
 
 def norm_table(tree, sol, beta: float, gamma: float) -> dict:
-    """Squared weighted norms of Y (compensator clock, Lebesgue clock and both), U and Z."""
-    y_a, y_w = (norm_sq(tree, sol.y, WeightedNorm(kind, beta, gamma)) for kind in "AW")
-    table = {"Y_A": y_a, "Y_W": y_w, "Y_A_plus_lambda": y_a + y_w,
-             "U_p": norm_sq(tree, sol.u, WeightedNorm("p", beta, gamma))}
-    if sol.z is not None:
-        table["Z_W"] = norm_sq(tree, sol.z, WeightedNorm("W", beta, gamma))
+    """Squared weighted norms of Y (compensator clock, Lebesgue clock and both), U and Z.
+
+    ConfigInvalid names ``beta`` or ``gamma`` (as ``build_problem`` does for
+    the weight) and the norm's key if a norm overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is named below
+        y_a, y_w = (norm_sq(tree, sol.y, WeightedNorm(kind, beta, gamma)) for kind in "AW")
+        table = {"Y_A": y_a, "Y_W": y_w, "Y_A_plus_lambda": y_a + y_w,
+                 "U_p": norm_sq(tree, sol.u, WeightedNorm("p", beta, gamma))}
+        if sol.z is not None:
+            table["Z_W"] = norm_sq(tree, sol.z, WeightedNorm("W", beta, gamma))
+    for key, value in table.items():
+        if not math.isfinite(value):
+            raise ConfigInvalid(_weight_field(tree, beta, gamma), f"the weighted norm {key} overflows")
     return table
 
 
@@ -614,16 +618,16 @@ def _collect_verdicts(section, prefix, verdicts):
 class Solved(NamedTuple):
     """A configured problem, solved in its mode.
 
-    ``frozen`` is the known-generator spec that ``sol`` exactly solves:
-    ``gen`` itself outside picard mode, where ``contraction`` and ``trace``
+    ``spec`` is the known-generator spec that ``sol`` exactly solves: the
+    configured one outside picard mode, where ``contraction`` and ``trace``
     are None.  In picard mode it holds the generators frozen at the previous
-    iterate, and the distance trace certifies the fixed-point gap.
+    iterate, and the distance trace certifies the fixed-point gap.  Its xi
+    and h are the configured arrays in every mode.
     """
 
     tree: ScenarioTree
-    gen: GeneratorSpec
     sol: RbsdeSolution
-    frozen: GeneratorSpec
+    spec: GeneratorSpec
     contraction: Optional[ContractionConfig]
     trace: Optional[PicardTrace]
 
@@ -636,9 +640,9 @@ def _solve(cfg: RunConfig) -> Solved:
             gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol
         )
         trace = picard_solve(tree, gen, contraction)
-        return Solved(tree, gen, trace.solution, trace.frozen_spec, contraction, trace)
+        return Solved(tree, trace.solution, trace.frozen_spec, contraction, trace)
     solve = solve_mpp_only if cfg.mode == "mpp-only" else solve_given_generators
-    return Solved(tree, gen, solve(tree, gen), gen, None, None)
+    return Solved(tree, solve(tree, gen), gen, None, None)
 
 
 def _finish(out_dir: Path, summary: dict, *lines: str) -> int:
@@ -650,9 +654,9 @@ def _finish(out_dir: Path, summary: dict, *lines: str) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    tree, gen, sol, frozen, contraction, trace = _solve(cfg)
-    checks = run_checks(tree, gen, sol, frozen, cfg.beta)
-    stopping = run_stopping(tree, frozen, sol, cfg.epsilons, cfg.oracle)
+    tree, sol, spec, contraction, trace = _solve(cfg)
+    checks = run_checks(tree, sol, spec, cfg.beta)
+    stopping = run_stopping(tree, spec, sol, cfg.epsilons, cfg.oracle)
     verdicts = {}
     summary = {
         "config": cfg.echo(),
@@ -681,7 +685,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         verdicts=verdicts,
         all_passed=all(verdicts.values()),
     )
-    write_solution_csv(out_dir, tree, frozen, sol)
+    write_solution_csv(out_dir, tree, spec, sol)
     if trace is not None:
         write_trace_csv(out_dir, trace.distances)
     after = "" if trace is None else f" after {len(trace.distances)} iterations"
@@ -692,8 +696,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.affine is not None:
         raise ConfigInvalid("mode", "the oracle verb needs a given-generator family")
-    tree, gen, sol = _solve(cfg)[:3]
-    cert = brute_force_value(tree, gen, keep_table=False)
+    tree, sol, spec = _solve(cfg)[:3]
+    cert = brute_force_value(tree, reward_process(tree, spec), keep_table=False)
     y0 = float(sol.y[0][0])
     gap = abs(y0 - cert.value)
     summary = {
@@ -742,9 +746,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
     run = _solve(cfg)
     table = norm_table(run.tree, run.sol, cfg.beta, cfg.gamma)
-    # In picard mode ``gen`` is state-dependent and its given levels are zero;
-    # the frozen spec carries the f that the final iterate solves with.
-    f_levels, _ = run.frozen.given_levels(run.tree)
+    # In picard mode the configured spec is state-dependent; ``spec`` carries
+    # the f that the final iterate solves with.
+    f_levels, _ = run.spec.given_levels(run.tree)
     bound = None
     if cfg.beta > 0:
         lhs, rhs, excess = cauchy_weight_bound(run.tree, f_levels, cfg.beta)

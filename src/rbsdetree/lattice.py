@@ -235,8 +235,7 @@ class Representation:
     ``z`` is the Brownian integrand, ``u`` the mark-indexed jump integrand
     (conditional-jump differences), ``residual`` the L2 norm under the child
     measure of the part not spanned by dW and the compensated jump
-    indicators, ``branch_residual`` that part per child branch; both are
-    None when only the integrands were asked for.  Where a conditioning
+    indicators; None when only the integrands were asked for.  Where a conditioning
     event has probability zero, u is zero for every mark.
     """
 
@@ -244,7 +243,6 @@ class Representation:
     z: np.ndarray
     u: np.ndarray
     residual: Optional[np.ndarray] = None
-    branch_residual: Optional[np.ndarray] = None
 
 
 def representation_integrands(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Representation:
@@ -291,7 +289,7 @@ def extract_representation(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Re
         span = span + rep.u[:, e, None] * ((mark == e).astype(float) - q[e])[None, :]
     branch_residual = v_next.reshape(span.shape) - rep.mean[:, None] - span
     residual = np.sqrt(np.maximum(branch_residual**2 @ tree.branch_prob[k], 0.0))
-    return replace(rep, residual=residual, branch_residual=branch_residual)
+    return replace(rep, residual=residual)
 
 
 def level_expectation(tree: ScenarioTree, k: int, values: np.ndarray) -> float:

@@ -8,7 +8,7 @@ come from the one-step martingale representation of Y_{k+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -123,9 +123,9 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_o
 
 def leaf_representation(tree: ScenarioTree, gen: GeneratorSpec) -> Representation:
     """Check xi and h, and represent Y_N = xi over the last step: the ``leaf``
-    of every solve in a Picard loop.  The per-branch residual is not kept."""
+    of every solve in a Picard loop."""
     gen.validate(tree)
-    return replace(extract_representation(tree, tree.n_steps - 1, gen.xi), branch_residual=None)
+    return extract_representation(tree, tree.n_steps - 1, gen.xi)
 
 
 def solve_given_generators(

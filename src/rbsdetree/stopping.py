@@ -2,7 +2,10 @@
 
 A stopping rule is a set of nodes (membership decided by the node alone,
 which on a non-recombining tree is exactly adaptedness); each path stops at
-its first entry into the set, and the leaves are always included.
+its first entry into the set, and the leaves are always included.  Rewards
+and the oracle read only the stopped reward eta (``rbsde.reward_process``:
+running gains plus the barrier, plus the payoff at T), which the caller
+builds once per problem; the oracle enumerates the rules from the root.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import EnumerationBudgetExceeded
-from .lattice import ScenarioTree, cexp_level
-from .rbsde import GeneratorSpec, RbsdeSolution, reward_process, running_gains
+from .lattice import NodeProcess, ScenarioTree, cexp_level
+from .rbsde import RbsdeSolution
+
+# Not called here; kept as a name of this module because perfbench/tracer.py
+# wraps it here.
+from .rbsde import running_gains  # noqa: F401
 
 ENUMERATION_CAP = 20
 OPTIMAL_TOL = 1e-12  # a rule within this of the best value counts as optimal
@@ -48,14 +55,12 @@ def stop_levels(tree: ScenarioTree, rule: StoppingRule) -> np.ndarray:
     return out
 
 
-def reward_of_rule(tree: ScenarioTree, gen: GeneratorSpec, rule: StoppingRule) -> float:
-    """Value of the rule by backward induction.
+def reward_of_rule(tree: ScenarioTree, eta: NodeProcess, rule: StoppingRule) -> float:
+    """Value of the rule by backward induction on the stopped reward ``eta``.
 
     V_N = eta_N, then V_k = eta_k on the stop set and E[V_{k+1} | node]
-    elsewhere, with eta the stopped reward (running gains plus barrier, or
-    plus payoff at T); the rule's value is V_0.
+    elsewhere; the rule's value is V_0.
     """
-    eta = reward_process(tree, gen)
     v = eta[-1]
     for k in range(tree.n_steps - 1, -1, -1):
         v = np.where(rule.stop[k], eta[k], cexp_level(tree, k, v))
@@ -78,78 +83,42 @@ class StoppingCertificate:
         return np.flatnonzero(self.all_values >= self.value - OPTIMAL_TOL)
 
 
-def _subtree_layout(tree: ScenarioTree, root_level: int):
-    """Interior-node offsets, strides and leaf slice of a subtree."""
-    strides = [1]
-    for lvl in range(root_level, tree.n_steps):
-        strides.append(strides[-1] * tree.branching(lvl))
-    offsets = []
-    n_interior = 0
-    for width in strides[:-1]:
-        offsets.append(n_interior)
-        n_interior += width
-    return strides, offsets, n_interior
+def rule_from_mask(tree: ScenarioTree, mask: int) -> StoppingRule:
+    """Materialize an enumeration bitmask (root bit most significant).
+
+    Interior nodes are numbered level by level, in index order; node id's
+    bit is (n_interior - 1 - id).
+    """
+    sizes = [tree.level_size(k) for k in range(tree.n_steps)]
+    n_interior = sum(sizes)
+    bits = (mask >> np.arange(n_interior - 1, -1, -1)) & 1
+    levels = np.split(bits.astype(bool), np.cumsum(sizes)[:-1])
+    return StoppingRule.from_levels([*levels, np.ones(tree.n_leaves, dtype=bool)])
 
 
-def rule_from_mask(tree: ScenarioTree, mask: int, root_level: int = 0, root_index: int = 0) -> StoppingRule:
-    """Materialize an enumeration bitmask (root bit most significant)."""
-    strides, offsets, n_interior = _subtree_layout(tree, root_level)
-    levels = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.n_steps)]
-    levels.append(np.ones(tree.n_leaves, dtype=bool))
-    for depth, width in enumerate(strides[:-1]):
-        lvl = root_level + depth
-        base = root_index * width
-        for local in range(width):
-            gid = offsets[depth] + local
-            if (mask >> (n_interior - 1 - gid)) & 1:
-                levels[lvl][base + local] = True
-    return StoppingRule.from_levels(levels)
-
-
-def brute_force_value(
-    tree: ScenarioTree,
-    gen: GeneratorSpec,
-    root_level: int = 0,
-    root_index: int = 0,
-    keep_table: bool = True,
-) -> StoppingCertificate:
-    """Enumerate every stopping rule on the subtree below the given node.
+def brute_force_value(tree: ScenarioTree, eta: NodeProcess, keep_table: bool = True) -> StoppingCertificate:
+    """Enumerate every stopping rule from the root, with ``eta`` the stopped reward.
 
     Returns the maximal probability-weighted reward and the maximizing rule;
     ties break toward the rule whose stop set comes first in (level, index)
-    order.  Rewards are relative to the root node (running gains accrued from
-    the root on, conditional probabilities given the root).
+    order.
     """
-    strides, offsets, n_interior = _subtree_layout(tree, root_level)
+    sizes = [tree.level_size(k) for k in range(tree.n_steps)]
+    n_interior = sum(sizes)
     if n_interior > ENUMERATION_CAP:
         raise EnumerationBudgetExceeded(n_interior=n_interior, cap=ENUMERATION_CAP)
 
-    f_levels, g_levels = gen.given_levels(tree)
-    cum = running_gains(tree, f_levels, g_levels)
-    n_depth = tree.n_steps - root_level
-    n_paths = strides[-1]
-    leaf_base = root_index * strides[-1]
-    leaf_idx = leaf_base + np.arange(n_paths)
+    # Each path's level-k node, as the index into eta[k] and as its enumeration id.
+    ancestors = [tree.ancestor_index(k, tree.n_steps) for k in range(tree.n_steps)]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    path_nodes = np.column_stack([offset + anc for offset, anc in zip(offsets, ancestors)])
+    reward_stop = np.column_stack([eta[k][anc] for k, anc in enumerate(ancestors)])
 
-    root_prob = tree.prob[root_level][root_index]
-    root_cum = cum[root_level][root_index]
-    probs = tree.prob[-1][leaf_idx] / root_prob
-    reward_leaf = cum[-1][leaf_idx] - root_cum + gen.xi[leaf_idx]
-
-    path_nodes = np.empty((n_paths, n_depth), dtype=np.int64)
-    reward_stop = np.empty((n_paths, n_depth))
-    for depth in range(n_depth):
-        lvl = root_level + depth
-        local = (np.arange(n_paths) * strides[depth]) // strides[-1]
-        path_nodes[:, depth] = offsets[depth] + local
-        node = root_index * strides[depth] + local
-        reward_stop[:, depth] = cum[lvl][node] - root_cum + gen.h[lvl][node]
-
-    values = _kernels.enumerate_rules(path_nodes, reward_stop, reward_leaf, probs, n_interior)
+    values = _kernels.enumerate_rules(path_nodes, reward_stop, eta[-1], tree.prob[-1], n_interior)
     best_mask = int(len(values) - 1 - np.argmax(values[::-1]))
     return StoppingCertificate(
         value=float(values[best_mask]),
-        best_rule=rule_from_mask(tree, best_mask, root_level, root_index),
+        best_rule=rule_from_mask(tree, best_mask),
         best_mask=best_mask,
         n_interior=n_interior,
         all_values=values if keep_table else None,

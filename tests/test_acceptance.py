@@ -24,7 +24,7 @@ def test_acceptance_1_oracle_equivalence():
 
 
 def test_acceptance_2_minimal_push_conditions():
-    # node-wise (Y-h)dK = 0, dK >= 0, Y >= h, Y_T = xi within 1e-12
+    # node-wise (Y-h)dK = 0, dK >= 0, Y >= h within 1e-12
     result = _run(verify.criterion_skorohod)
     assert result.seconds <= 10.0
 

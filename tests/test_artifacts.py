@@ -70,7 +70,7 @@ def _writer_bytes(tree, gen, sol, chunk=None, reference=True):
 def _both_writers(raw: dict, chunk=None):
     """(new bytes, reference bytes, solution) for the solve of ``raw``."""
     run = cli._solve(parse_config(raw))
-    return (*_writer_bytes(run.tree, run.frozen, run.sol, chunk), run.sol)
+    return (*_writer_bytes(run.tree, run.spec, run.sol, chunk), run.sol)
 
 
 coefficient = st.floats(-1.0, 1.0)
@@ -233,7 +233,7 @@ def _leaf_heavy_problem():
     """The 8-step, 65,536-leaf problem of ``test_leaf_level_larger_than_one_chunk``."""
     run = cli._solve(parse_config(LEAF_HEAVY))
     assert run.tree.n_leaves == 65_536
-    return run.tree, run.frozen, run.sol
+    return run.tree, run.spec, run.sol
 
 
 def test_batches_that_split_thousand_blocks_and_levels_match_reference_writer():

@@ -180,14 +180,16 @@ def test_integral_floats_and_numeric_strings_are_read(tmp_path):
 
 
 def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
-    """A solve checks its final iterate once: ``run_checks`` makes the one call of each check."""
+    """A solve checks its final iterate once: ``run_checks`` makes the one call of each check,
+    and ``run_stopping`` builds the one stopped reward that every stopping check reads."""
     from rbsdetree import cli, picard
 
     calls = []
-    for module in (cli, picard):
-        for name in ("check_skorohod", "check_equation_residual"):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    for module, name in [(cli, "reward_process")] + [
+        (module, name) for module in (cli, picard) for name in ("check_skorohod", "check_equation_residual")
+    ]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     raw = {
         **BASE,
         "grid": {"n_steps": 2, "horizon": 1.0},
@@ -196,11 +198,11 @@ def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
         "generator": {"family": "affine", "fa": 0.2, "fb": 0.1, "ga": 0.1, "gz": 0.1},
         "beta": 1.2,
     }
-    for mode_raw in (raw, BASE):
+    for mode_raw in (raw, BASE):  # both with epsilon rules, first contact and the oracle
         calls.clear()
         out = tmp_path / mode_raw["mode"]
         assert main(["solve", "--config", _write(tmp_path, mode_raw), "--out", str(out)]) == 0
-        assert sorted(calls) == ["check_equation_residual", "check_skorohod"]
+        assert sorted(calls) == ["check_equation_residual", "check_skorohod", "reward_process"]
         checks = json.loads((out / "summary.json").read_text())["checks"]
         assert checks["minimal_push"]["passed"] and checks["equation_residual"]["passed"]
 
@@ -214,9 +216,24 @@ def test_run_checks_builds_the_reward_process_once(monkeypatch):
     monkeypatch.setattr(rbsde, "running_gains", lambda *a: calls.append(1) or real(*a))
     tree, gen = build_problem(parse_config(yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())))
     sol = cli.solve_mpp_only(tree, gen)
-    checks = cli.run_checks(tree, gen, sol, gen, beta=1.0)
+    checks = cli.run_checks(tree, sol, gen, beta=1.0)
     assert calls == [1]
     assert checks["route_equivalence"]["passed"] and checks["push_only_on_contact"]["passed"]
+
+
+def test_stopping_verdicts_read_the_reward_process_of_the_cli(tmp_path, monkeypatch, capsys):
+    """Without its running gains the stopped reward misses Y_0, and the stopping checks say so."""
+    from rbsdetree import cli
+
+    monkeypatch.setattr(cli, "reward_process", lambda tree, spec: [*spec.h[:-1], spec.xi])
+    raw = yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())
+    assert raw["generator"]["f"]["const"] != 0 and raw["stopping"]["oracle"]
+    out = tmp_path / "run"
+    assert main(["solve", "--config", _write(tmp_path, raw), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+    assert not verdicts["stopping.first_contact"] and not verdicts["stopping.oracle"]
+    assert all(verdicts[name] for name in verdicts if name.startswith("check."))
 
 
 def test_exit_codes(tmp_path):

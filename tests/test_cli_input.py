@@ -203,6 +203,30 @@ def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     assert not (tmp_path / "run" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("verb", ["solve", "norms"])
+@pytest.mark.parametrize(
+    "name, changes, fieldname",
+    [
+        # e^(700 A_T) is finite, |Y|^2 ~ 1e200 times it is not
+        ("mpp_only", {"beta": 700, "terminal": {"const": 1.0e100}}, "beta"),
+        # A = 0, so gamma T is the larger exponent; |Y|^2 ~ 1e320 overflows alone
+        ("reflected_binomial", {"gamma": 700, "terminal": {"const": 1.0e160}}, "gamma"),
+    ],
+    ids=["beta", "gamma"],
+)
+def test_a_weighted_norm_that_overflows_exits_2_naming_the_field(
+    tmp_path, capsys, name, changes, fieldname, verb
+):
+    """The norm is known only after the solve, but before any artifact is written."""
+    config = _write(tmp_path, _shipped(name, **changes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([verb, "--config", config, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2 and f"config error: {fieldname}: the weighted norm Y_A overflows" in err
+    assert not any((tmp_path / "run").iterdir())
+
+
 def test_norms_with_weights_scaled_below_the_bound_exits_1(tmp_path, monkeypatch):
     build = cli.build_problem
 
@@ -258,4 +282,4 @@ def test_summaries_of_shipped_configs_are_strict_json(tmp_path, name, verb):
 def test_a_negative_slack_that_keeps_the_barrier_below_the_payoff_runs(tmp_path, capsys):
     raw = _shipped("reflected_binomial", barrier={"base": [0.5, -1.0], "leaf_slack": -1.0})
     assert main(["solve", "--config", _write(tmp_path, raw), "--out", str(tmp_path / "run")]) == 0
-    assert "10/10 checks passed" in capsys.readouterr().out
+    assert "9/9 checks passed" in capsys.readouterr().out

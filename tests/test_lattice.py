@@ -92,6 +92,14 @@ def test_ancestor_and_repeat_roundtrip():
     assert np.array_equal(tree.ancestor_index(0, 3), np.zeros(tree.n_leaves, dtype=int))
 
 
+def _branch_residual(tree, k, v, rep):
+    """Per child branch, the part of v at level k+1 that mean + z dW + sum_e u(e) dq leaves."""
+    q = tree.jump_prob[k] * tree.phi[k]
+    dq = (tree.branch_mark[k][None, :] == np.arange(tree.n_marks)[:, None]) - q[:, None]
+    span = rep.mean[:, None] + rep.z[:, None] * tree.branch_dw[k][None, :] + rep.u @ dq
+    return v.reshape(span.shape) - span
+
+
 def test_representation_orthogonality():
     tree = make_tree(2, 1.0, ("a", "b"), rate=1.1)
     rng = np.random.default_rng(2)
@@ -101,7 +109,7 @@ def test_representation_orthogonality():
     dw = tree.branch_dw[0]
     mark = tree.branch_mark[0]
     q = tree.jump_prob[0] * tree.phi[0]
-    res = rep.branch_residual[0]
+    res = _branch_residual(tree, 0, v, rep)[0]
     assert abs(res @ p) <= 1e-12
     assert abs(res @ (p * dw)) <= 1e-12
     for e in range(tree.n_marks):
@@ -122,7 +130,7 @@ def test_representation_exact_for_spanned_payoff():
     rep = extract_representation(tree, 0, v)
     assert rep.z[0] == pytest.approx(2.0, abs=1e-12)
     assert rep.u[0, 0] == pytest.approx(-3.0, abs=1e-12)
-    assert np.max(np.abs(rep.branch_residual)) <= 1e-12
+    assert np.max(np.abs(_branch_residual(tree, 0, v, rep))) <= 1e-12
 
 
 def test_process_helpers():
@@ -151,5 +159,5 @@ def test_integrands_are_those_of_the_full_representation(rate, n_brownian):
         full, part = extract_representation(tree, k, v), representation_integrands(tree, k, v)
         for name in ("mean", "z", "u"):
             assert getattr(full, name).tobytes() == getattr(part, name).tobytes()
-        assert part.residual is None and part.branch_residual is None
+        assert part.residual is None
         assert full.residual.shape == (tree.level_size(k),)

@@ -10,6 +10,7 @@ from rbsdetree import (
     check_skorohod,
     k_flatness_before_stop,
     reward_of_rule,
+    reward_process,
     running_gains,
     solve_given_generators,
     solve_mpp_only,
@@ -132,5 +133,6 @@ def test_rule_values_match_the_per_leaf_formulas(problem, seed, density):
     rng = np.random.default_rng(seed)
     levels = [rng.random(tree.level_size(k)) < density for k in range(tree.n_steps)]
     rule = StoppingRule.from_levels([*levels, np.ones(tree.n_leaves, dtype=bool)])
-    assert abs(reward_of_rule(tree, gen, rule) - _per_leaf_reward(tree, gen, rule)) <= 1e-12
+    eta = reward_process(tree, gen)
+    assert abs(reward_of_rule(tree, eta, rule) - _per_leaf_reward(tree, gen, rule)) <= 1e-12
     assert k_flatness_before_stop(tree, sol, rule) == _per_leaf_flatness(tree, sol, rule)

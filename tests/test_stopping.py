@@ -14,6 +14,7 @@ from rbsdetree import (
     k_flatness_before_stop,
     level_expectation,
     reward_of_rule,
+    reward_process,
     rule_from_mask,
     running_gains,
     smallest_optimal_time,
@@ -48,14 +49,14 @@ def test_leaves_only_reward_is_terminal_expectation():
     gen = GeneratorSpec(xi=base.xi, h=base.h)  # no running gains
     levels = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.n_steps)]
     rule = StoppingRule.from_levels([*levels, np.ones(tree.n_leaves, dtype=bool)])
-    assert reward_of_rule(tree, gen, rule) == pytest.approx(
+    assert reward_of_rule(tree, reward_process(tree, gen), rule) == pytest.approx(
         level_expectation(tree, tree.n_steps, gen.xi), abs=1e-12
     )
 
 
 def test_brute_force_on_reflected_fixture():
     tree, gen = fixture_reflected_binomial()
-    cert = brute_force_value(tree, gen)
+    cert = brute_force_value(tree, reward_process(tree, gen))
     assert cert.n_interior == 1
     assert cert.value == pytest.approx(0.5, abs=1e-14)
     # stopping at the root (barrier 0.5) beats continuing (E[W_1] = 0);
@@ -80,7 +81,7 @@ def test_tie_break_prefers_larger_mask():
     tree = make_tree(1, 1.0, ("a",), rate=0.0)
     xi = np.zeros(tree.n_leaves)
     gen = GeneratorSpec(xi=xi, h=[np.array([0.0]), xi])
-    cert = brute_force_value(tree, gen)
+    cert = brute_force_value(tree, reward_process(tree, gen))
     assert cert.best_mask == 1
     assert len(cert.optimal_masks()) == 2
 
@@ -90,59 +91,35 @@ def test_dominance_of_solution_value():
     for _ in range(10):
         tree, gen = random_oracle_instance(rng)
         sol = solve_given_generators(tree, gen)
-        cert = brute_force_value(tree, gen)
+        eta = reward_process(tree, gen)
+        cert = brute_force_value(tree, eta)
         assert np.max(cert.all_values) <= sol.y[0][0] + 1e-10
         for _ in range(5):  # random rules are never better
             mask = int(rng.integers(0, len(cert.all_values)))
             rule = rule_from_mask(tree, mask)
-            assert reward_of_rule(tree, gen, rule) <= sol.y[0][0] + 1e-10
-
-
-def test_subtree_values_match_node_solution():
-    rng = np.random.default_rng(2)
-    tree, gen = random_oracle_instance(rng)
-    sol = solve_given_generators(tree, gen)
-    for k in range(tree.n_steps):
-        for i in range(tree.level_size(k)):
-            cert = brute_force_value(tree, gen, root_level=k, root_index=i, keep_table=False)
-            # the node's continuation problem has barrier available from k on,
-            # so its value is max(h_k, Y-tilde) = Y at the node
-            assert cert.value == pytest.approx(float(sol.y[k][i]), abs=1e-10)
-
-
-def test_brute_force_at_a_leaf_is_the_leaf_reward():
-    rng = np.random.default_rng(4)
-    tree, gen = random_oracle_instance(rng)
-    for j in (0, tree.n_leaves - 1):
-        cert = brute_force_value(tree, gen, root_level=tree.n_steps, root_index=j)
-        assert cert.n_interior == 0 and cert.best_mask == 0
-        assert cert.all_values.tolist() == [float(gen.xi[j])]
-        assert cert.value == float(gen.xi[j])
+            assert reward_of_rule(tree, eta, rule) <= sol.y[0][0] + 1e-10
 
 
 def test_brute_force_below_a_node_with_branching_one():
-    # jump-only, flat compensator on [1, 2]: the level-1 nodes have one child
-    comp = CompensatorSpec.piecewise([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.6, 1.4], [[1.0]] * 4)
-    tree = build_tree(TimeGrid.uniform(3, 3.0), MarkSet(("e1",)), comp, n_brownian=1)
-    assert [tree.branching(k) for k in range(3)] == [2, 1, 2]
+    # jump-only, flat compensator on [0, 1]: the root has one child
+    comp = CompensatorSpec.piecewise([0.0, 1.0, 2.0], [0.0, 0.0, 0.6], [[1.0]] * 3)
+    tree = build_tree(TimeGrid.uniform(2, 2.0), MarkSet(("e1",)), comp, n_brownian=1)
+    assert [tree.branching(k) for k in range(2)] == [1, 2]
     rng = np.random.default_rng(5)
     xi = rng.normal(size=tree.n_leaves)
-    h = [rng.normal(size=tree.level_size(k)) for k in range(3)] + [xi]
-    f = [rng.normal(size=tree.level_size(k)) for k in range(3)]
+    h = [rng.normal(size=tree.level_size(k)) for k in range(2)] + [xi]
+    f = [rng.normal(size=tree.level_size(k)) for k in range(2)]
     gen = GeneratorSpec(xi=xi, h=h, f_levels=f)
     sol = solve_given_generators(tree, gen)
     cum = running_gains(tree, *gen.given_levels(tree))
-    for i in range(tree.level_size(1)):
-        cert = brute_force_value(tree, gen, root_level=1, root_index=i)
-        assert cert.n_interior == 2
-        leaves = [2 * i, 2 * i + 1]
-        p = tree.prob[3][leaves] / tree.prob[1][i]
-        continue_value = float(p @ (cum[3][leaves] + xi[leaves])) - cum[1][i]
-        # masks: 0 continues to the leaves, 1 stops at the level-2 child,
-        # 2 and 3 stop at the root of the subtree
-        expected = [continue_value, cum[2][i] - cum[1][i] + h[2][i], h[1][i], h[1][i]]
-        np.testing.assert_allclose(cert.all_values, expected, rtol=0, atol=1e-12)
-        assert cert.value == pytest.approx(float(sol.y[1][i]), abs=1e-10)
+    cert = brute_force_value(tree, reward_process(tree, gen))
+    assert cert.n_interior == 2
+    continue_value = float(tree.prob[2] @ (cum[2] + xi))
+    # masks: 0 continues to the leaves, 1 stops at the root's one child,
+    # 2 and 3 stop at the root
+    expected = [continue_value, cum[1][0] + h[1][0], h[0][0], h[0][0]]
+    np.testing.assert_allclose(cert.all_values, expected, rtol=0, atol=1e-12)
+    assert cert.value == pytest.approx(float(sol.y[0][0]), abs=1e-10)
 
 
 def test_enumeration_cap():
@@ -150,7 +127,7 @@ def test_enumeration_cap():
     xi = tree.w[-1].copy()
     gen = GeneratorSpec(xi=xi, h=[np.full(tree.level_size(k), -10.0) for k in range(5)] + [xi])
     with pytest.raises(EnumerationBudgetExceeded):
-        brute_force_value(tree, gen)
+        brute_force_value(tree, reward_process(tree, gen))
 
 
 def test_epsilon_rules_nest_and_flatness():
@@ -175,6 +152,6 @@ def test_smallest_optimal_time_attains_value():
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
         star = smallest_optimal_time(tree, sol, gen.h)
-        assert reward_of_rule(tree, gen, star) == pytest.approx(
+        assert reward_of_rule(tree, reward_process(tree, gen), star) == pytest.approx(
             float(sol.y[0][0]), abs=1e-10
         )
