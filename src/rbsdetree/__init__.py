@@ -10,7 +10,6 @@ enumeration oracle (stopping), weighted norms (wnorm), instance builders
 from .errors import (
     BetaTooSmall,
     BetaZero,
-    BrownianBranchesPresent,
     BudgetExceeded,
     ConfigInvalid,
     EnumerationBudgetExceeded,
@@ -40,11 +39,9 @@ from .mpp import (
 from .picard import (
     ContractionConfig,
     PicardTrace,
-    Triple,
     composite_distance,
     picard_solve,
     select_contraction_parameters,
-    zero_triple,
 )
 from .rbsde import (
     EquationResidualReport,
@@ -58,7 +55,6 @@ from .rbsde import (
     reward_process,
     running_gains,
     solve_given_generators,
-    solve_mpp_only,
     solve_via_snell,
 )
 from .snell import (

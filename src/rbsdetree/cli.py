@@ -1,14 +1,16 @@
 """Command-line entry point: config ingestion, orchestration, persistence.
 
 Verbs: solve, oracle, simulate, norms, verify.  ``solve`` runs the configured
-mode (given, picard or mpp-only).  Configuration is a YAML file; results are
-a summary JSON record plus CSV node tables in the output directory.  Exit
+mode (given, picard, or mpp-only: the given mode on a jump-only tree, with no
+Z) through the one reflected solver.  Configuration is a YAML file; results
+are a summary JSON record plus CSV node tables in the output directory.  Exit
 codes: 0 all checks pass, 1 a check failed, 2 the configuration is invalid:
-a field is malformed, the problem data, the norm weights or a weighted norm
-overflow, or the output directory cannot be written.  A solve's checks read
-the one known-generator spec that its solution solves (in picard mode, the
-generators frozen at the last iterate), and its stopping checks the one
-stopped reward built from that spec.
+a field is malformed or unknown, the problem data, the norm weights or a
+weighted norm overflow, or the output directory cannot be written.  A
+solve's checks read the one known-generator spec that its solution solves
+(in picard mode, the generators frozen at the last iterate), and its
+stopping checks the one stopped reward that the envelope route built from
+that spec.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .rbsde import (
     check_skorohod,
     reward_process,
     solve_given_generators,
-    solve_mpp_only,
     solve_via_snell,
 )
 from .snell import envelope_jump_support
@@ -54,8 +55,18 @@ from .stopping import (
 from .verify import format_report, run_all
 from .wnorm import WeightedNorm, cauchy_weight_bound, norm_sq
 
+# Not called here: one solver serves both filtrations, and perfbench/tracer.py wraps this name.
+from .rbsde import solve_given_generators as solve_mpp_only  # noqa: F401
+
 MODES = ("given", "picard", "mpp-only")
 FAMILIES = ("given", "affine", "clipped-affine")
+#: The keys that ``parse_config`` reads from each mapping; any other key is an error.
+ROOT_KEYS = ("grid", "marks", "compensator", "brownian", "mode", "generator", "terminal", "barrier",
+             "stopping", "picard", "simulate", "beta", "gamma", "seed", "out")
+TERMINAL_KEYS = ("const", "w", "n", "wn")
+OFFSET_KEYS = ("const", "tanh_w", "n", "t")  # generator.f and generator.g
+AFFINE_KEYS = ("fa", "fb", "ga", "gz")  # and fc, and clip for clipped-affine
+FAMILY_KEYS = {"given": (), "affine": (*AFFINE_KEYS, "fc"), "clipped-affine": (*AFFINE_KEYS, "fc", "clip")}
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,15 @@ def _require(raw: dict, key: str, kind=None, section: str = ""):
     return val
 
 
+def _known(raw: dict, keys, section: str = "") -> dict:
+    """``raw``; ConfigInvalid at ``section.key`` for the first key outside ``keys``."""
+    for key in raw:
+        if key not in keys:
+            path = f"{section}.{key}" if section else str(key)
+            raise ConfigInvalid(path, f"unknown key; expected one of {', '.join(keys)}")
+    return raw
+
+
 def _mapping(raw: dict, key: str, section: str = "") -> dict:
     """The optional mapping at ``key``: {} when absent or null."""
     return {} if raw.get(key) is None else dict(_require(raw, key, dict, section))
@@ -166,8 +186,9 @@ def parse_config(raw: dict) -> RunConfig:
     """Read and check every field of the parsed YAML mapping into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("<root>", "config must be a mapping")
+    _known(raw, ROOT_KEYS)
     _require_finite(raw, "")
-    grid = _require(raw, "grid", dict)
+    grid = _known(_require(raw, "grid", dict), ("n_steps", "horizon"), "grid")
     n_steps = _number(_require(grid, "n_steps"), "grid.n_steps", int)
     horizon = _number(_require(grid, "horizon"), "grid.horizon")
     if n_steps < 1:
@@ -191,13 +212,13 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid("mode", "mpp-only requires brownian: none")
 
     gen = _mapping(raw, "generator")
-    sides = [_mapping(gen, side, "generator") for side in ("f", "g")]
+    sides = [_known(_mapping(gen, side, "generator"), OFFSET_KEYS, f"generator.{side}") for side in "fg"]
     family = gen.get("family", "given")
     if family not in FAMILIES:
         raise ConfigInvalid("generator.family", f"must be one of {FAMILIES}")
     affine = None
     if family != "given":
-        affine = {k: _number(gen.get(k, 0.0), f"generator.{k}") for k in ("fa", "fb", "ga", "gz")}
+        affine = {k: _number(gen.get(k, 0.0), f"generator.{k}") for k in AFFINE_KEYS}
         affine["fc"] = _numbers(gen.get("fc", [1.0] * m), "generator.fc", m)
     if family == "clipped-affine":
         if "clip" not in gen:
@@ -207,14 +228,15 @@ def parse_config(raw: dict) -> RunConfig:
     if (mode == "picard") != (family != "given"):
         need = "an affine or clipped-affine" if mode == "picard" else "the given"
         raise ConfigInvalid("generator.family", f"{mode} mode needs {need} family")
+    _known(gen, ("family", "f", "g", "budget", *FAMILY_KEYS[family]), "generator")
 
-    terminal = _mapping(raw, "terminal")
-    barrier = _mapping(raw, "barrier")
+    terminal = _known(_mapping(raw, "terminal"), TERMINAL_KEYS, "terminal")
+    barrier = _known(_mapping(raw, "barrier"), ("w", "n", "leaf_slack", "base"), "barrier")
     base = barrier.get("base", -1e6)
-    stopping = _mapping(raw, "stopping")
+    stopping = _known(_mapping(raw, "stopping"), ("epsilons", "oracle"), "stopping")
     eps = stopping.get("epsilons", [])
-    picard = _mapping(raw, "picard")
-    simulate = _mapping(raw, "simulate")
+    picard = _known(_mapping(raw, "picard"), ("max_iter", "tol"), "picard")
+    simulate = _known(_mapping(raw, "simulate"), ("n_paths",), "simulate")
     cfg = RunConfig(
         n_steps=n_steps,
         horizon=horizon,
@@ -222,7 +244,7 @@ def parse_config(raw: dict) -> RunConfig:
         compensator=_compensator_spec(comp, m),
         brownian=brownian,
         mode=mode,
-        terminal={k: _number(terminal.get(k, 0.0), f"terminal.{k}") for k in ("const", "w", "n", "wn")},
+        terminal={k: _number(terminal.get(k, 0.0), f"terminal.{k}") for k in TERMINAL_KEYS},
         barrier={
             **{k: _number(barrier.get(k, 0.0), f"barrier.{k}") for k in ("w", "n", "leaf_slack")},
             "base": _numbers(base, "barrier.base", n_steps + 1)
@@ -230,8 +252,7 @@ def parse_config(raw: dict) -> RunConfig:
             else _number(base, "barrier.base"),
         },
         offsets=tuple(
-            {k: _number(side.get(k, 0.0), f"generator.{name}.{k}")
-             for k in ("const", "tanh_w", "n", "t")}
+            {k: _number(side.get(k, 0.0), f"generator.{name}.{k}") for k in OFFSET_KEYS}
             for name, side in zip("fg", sides)
         ),
         affine=affine,
@@ -286,6 +307,7 @@ def _compensator_spec(comp: dict, m: int) -> CompensatorSpec:
     """The compensator of ``comp`` over ``m`` marks; ConfigInvalid at the field it rejects."""
     ctype = comp.get("type", "linear")
     if ctype == "linear":
+        _known(comp, ("type", "rate", "phi"), "compensator")
         rate = _number(comp.get("rate", -1.0), "compensator.rate")
         if rate < 0:
             raise ConfigInvalid("compensator.rate", "linear compensator needs rate >= 0")
@@ -293,6 +315,7 @@ def _compensator_spec(comp: dict, m: int) -> CompensatorSpec:
         return _kernel_checked("compensator.phi", CompensatorSpec.linear, rate, phi)
     if ctype != "piecewise":
         raise ConfigInvalid("compensator.type", f"unknown type {ctype!r}")
+    _known(comp, ("type", "breakpoints", "values", "phi_rows"), "compensator")
     bp, values, rows = (
         _require(comp, key, list, "compensator") for key in ("breakpoints", "values", "phi_rows")
     )
@@ -507,8 +530,8 @@ def write_trace_csv(out_dir: Path, distances):
 # ---------------------------------------------------------------------------
 # Checks shared by the solve-family verbs
 # ---------------------------------------------------------------------------
-def run_checks(tree, sol, spec: GeneratorSpec, beta: float) -> dict:
-    """Every applicable invariant check of ``sol``, the solution of the known-generator ``spec``."""
+def run_checks(tree, sol, spec: GeneratorSpec, beta: float):
+    """Every applicable check of ``sol``, which solves ``spec``, and the envelope route's stopped reward."""
     sk = check_skorohod(tree, sol, spec.h)
     eq = check_equation_residual(tree, sol, spec)
     checks = {
@@ -528,7 +551,7 @@ def run_checks(tree, sol, spec: GeneratorSpec, beta: float) -> dict:
     y, dec, eta = solve_via_snell(tree, spec)
     gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
     support = envelope_jump_support(tree, dec, eta)
-    del y, dec, eta  # four node processes, freed before the majorant builds its own
+    del y, dec  # the route's Y, envelope and push, freed before the majorant builds its own
     checks["route_equivalence"] = {"passed": bool(gap <= 1e-10), "max_gap": gap}
     checks["push_only_on_contact"] = {
         "passed": not support,
@@ -540,7 +563,7 @@ def run_checks(tree, sol, spec: GeneratorSpec, beta: float) -> dict:
             "passed": not viols,
             "violations": [list(v) for v in viols[:10]],
         }
-    return checks
+    return checks, eta
 
 
 def _certificate_record(tree, cert) -> dict:
@@ -554,14 +577,13 @@ def _certificate_record(tree, cert) -> dict:
     }
 
 
-def run_stopping(tree, spec: GeneratorSpec, sol, epsilons, oracle: bool) -> dict:
+def run_stopping(tree, spec: GeneratorSpec, sol, eta, epsilons, oracle: bool) -> dict:
     """Stopping-rule checks: each (tolerance, label) in ``epsilons``, first contact, the oracle.
 
-    Every rule is valued on the one stopped reward of ``spec``, the problem ``sol`` solves.
+    Every rule is valued on ``eta``, the one stopped reward of ``spec``, the problem ``sol`` solves.
     """
     out = {}
     y0 = float(sol.y[0][0])
-    eta = reward_process(tree, spec)
     for tol, label in epsilons:
         rule = epsilon_optimal_time(tree, sol, spec.h, tol)
         reward = reward_of_rule(tree, eta, rule)
@@ -641,8 +663,7 @@ def _solve(cfg: RunConfig) -> Solved:
         )
         trace = picard_solve(tree, gen, contraction)
         return Solved(tree, trace.solution, trace.frozen_spec, contraction, trace)
-    solve = solve_mpp_only if cfg.mode == "mpp-only" else solve_given_generators
-    return Solved(tree, solve(tree, gen), gen, None, None)
+    return Solved(tree, solve_given_generators(tree, gen), gen, None, None)
 
 
 def _finish(out_dir: Path, summary: dict, *lines: str) -> int:
@@ -655,8 +676,8 @@ def _finish(out_dir: Path, summary: dict, *lines: str) -> int:
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     tree, sol, spec, contraction, trace = _solve(cfg)
-    checks = run_checks(tree, sol, spec, cfg.beta)
-    stopping = run_stopping(tree, spec, sol, cfg.epsilons, cfg.oracle)
+    checks, eta = run_checks(tree, sol, spec, cfg.beta)
+    stopping = run_stopping(tree, spec, sol, eta, cfg.epsilons, cfg.oracle)
     verdicts = {}
     summary = {
         "config": cfg.echo(),

@@ -22,10 +22,6 @@ class NotSupermartingale(RbsdeTreeError):
     """A process handed to the decomposition has a positive conditional drift."""
 
 
-class BrownianBranchesPresent(RbsdeTreeError):
-    """The jump-only solver was given a tree with Brownian branching."""
-
-
 class EnumerationBudgetExceeded(RbsdeTreeError):
     """Too many interior nodes for exhaustive stopping-rule enumeration."""
 

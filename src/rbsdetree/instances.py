@@ -182,11 +182,8 @@ def random_oracle_instance(rng):
         return random_given_instance(rng, max_steps=3, with_jumps=False)
     if kind == 1:  # Brownian + jumps, branching 4, up to 5 interior nodes
         return random_given_instance(rng, max_steps=2, with_jumps=True)
-    # jump-only filtration, branching 2 (g plays no role there)
-    tree, gen = random_given_instance(
-        rng, max_steps=3, n_brownian=1, with_jumps=True
-    )
-    return tree, gen
+    # jump-only filtration, branching 2 (no g drawn there)
+    return random_given_instance(rng, max_steps=3, n_brownian=1, with_jumps=True)
 
 
 def random_picard_instance(rng, n_brownian: int = 2, max_lip: float = 0.5):

@@ -158,48 +158,34 @@ def build_tree(
     phi = comp.kernel_on_grid(grid.times, m)
     steps = grid.steps
 
-    # Budget check before allocating anything.
-    total = 1
-    size = 1
-    branchings = []
+    # Budget check before allocating anything, in Python ints (no overflow).
+    total = size = 1
     for k in range(grid.n_steps):
-        b = n_brownian * (1 + m) if jump_prob[k] > 0 else n_brownian
-        branchings.append(b)
-        size *= b
+        size *= n_brownian * (1 + m) if jump_prob[k] > 0 else n_brownian
         total += size
     if total > budget:
         raise BudgetExceeded(required=total, budget=budget)
 
+    # Each Brownian move (weight w = 1/n_brownian) over the level's jump outcomes:
+    # no jump (1 - q), then mark e (q phi_k(e)).  w is 1 or 1/2, so w (q phi)
+    # has the bits of (w q) phi.
+    w_weight = 1.0 / n_brownian
     branch_dw, branch_mark, branch_prob = [], [], []
+    w, n_jumps, prob = [np.zeros(1)], [np.zeros(1, dtype=np.int64)], [np.ones(1)]
     for k in range(grid.n_steps):
-        dws = [np.sqrt(steps[k]), -np.sqrt(steps[k])] if n_brownian == 2 else [0.0]
-        w_weight = 1.0 / n_brownian
-        dw_col, mark_col, prob_col = [], [], []
-        for dw in dws:
-            if jump_prob[k] > 0:
-                dw_col.append(dw)
-                mark_col.append(-1)
-                prob_col.append(w_weight * (1.0 - jump_prob[k]))
-                for e in range(m):
-                    dw_col.append(dw)
-                    mark_col.append(e)
-                    prob_col.append(w_weight * jump_prob[k] * phi[k, e])
-            else:
-                dw_col.append(dw)
-                mark_col.append(-1)
-                prob_col.append(w_weight)
-        branch_dw.append(np.array(dw_col))
-        branch_mark.append(np.array(mark_col, dtype=np.int64))
-        branch_prob.append(np.array(prob_col))
-
-    w = [np.zeros(1)]
-    n_jumps = [np.zeros(1, dtype=np.int64)]
-    prob = [np.ones(1)]
-    for k in range(grid.n_steps):
-        b = branchings[k]
+        dws = np.array([np.sqrt(steps[k]), -np.sqrt(steps[k])] if n_brownian == 2 else [0.0])
+        if jump_prob[k] > 0:
+            marks_k = np.arange(-1, m, dtype=np.int64)
+            outcome_prob = np.concatenate(([1.0 - jump_prob[k]], jump_prob[k] * phi[k]))
+        else:
+            marks_k, outcome_prob = np.array([-1], dtype=np.int64), np.ones(1)
+        branch_dw.append(np.repeat(dws, len(marks_k)))
+        branch_mark.append(np.tile(marks_k, n_brownian))
+        branch_prob.append(np.tile(w_weight * outcome_prob, n_brownian))
+        b = len(branch_prob[k])
         w.append(np.repeat(w[k], b) + np.tile(branch_dw[k], len(w[k])))
-        jumped = branch_mark[k] >= 0
-        n_jumps.append(np.repeat(n_jumps[k], b) + np.tile(jumped.astype(np.int64), len(n_jumps[k])))
+        jumped = (branch_mark[k] >= 0).astype(np.int64)
+        n_jumps.append(np.repeat(n_jumps[k], b) + np.tile(jumped, len(n_jumps[k])))
         prob.append(np.repeat(prob[k], b) * np.tile(branch_prob[k], len(prob[k])))
 
     a_levels = np.concatenate([[0.0], np.cumsum(da)])

@@ -3,24 +3,26 @@
 Each sweep evaluates the generators at the previous iterate, solves the
 resulting known-generator reflected equation, and measures the move in the
 composite weighted norm; the map contracts once the weight exponents clear
-the Lipschitz thresholds.
+the Lipschitz thresholds.  A point of the iteration is the solver's own
+integrands-only ``RbsdeSolution`` (Y, U, Z), with Z None on a jump-only tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import BetaTooSmall, NoConvergence
 from .lattice import ScenarioTree
 from .rbsde import GeneratorSpec, LipschitzConstants, RbsdeSolution, leaf_representation
-from .rbsde import solve_given_generators, solve_mpp_only
+from .rbsde import solve_given_generators
 
-# Not called here (the CLI checks the final iterate); kept as names of this
-# module because perfbench/tracer.py wraps them here.
+# Not called here (the CLI checks the final iterate; one solver serves both
+# filtrations); kept as names of this module because perfbench/tracer.py wraps them.
 from .rbsde import check_equation_residual, check_skorohod  # noqa: F401
+from .rbsde import solve_given_generators as solve_mpp_only  # noqa: F401
 from .wnorm import WeightedNorm, norm_sq
 
 ALPHA_MAX = 1.0 - 1e-9
@@ -89,25 +91,17 @@ def select_contraction_parameters(
     )
 
 
-class Triple(NamedTuple):
-    """A (Y, U, Z) candidate point of the iteration space."""
-
-    y: list
-    u: list
-    z: Optional[list]
-
-
-def zero_triple(tree: ScenarioTree) -> Triple:
+def _zero_point(tree: ScenarioTree) -> RbsdeSolution:
+    """The start point (0, 0, 0): an integrands-only solution, Z None on a jump-only tree."""
     y = [np.zeros(tree.level_size(k)) for k in range(tree.n_steps + 1)]
     u = [np.zeros((tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)]
-    z = None
-    if tree.n_brownian == 2:
-        z = [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)]
-    return Triple(y=y, u=u, z=z)
+    return RbsdeSolution(y=y, u=u, z=[np.zeros_like(x) for x in y[:-1]] if tree.n_brownian == 2 else None)
 
 
-def composite_distance(tree: ScenarioTree, t1: Triple, t2: Triple, cfg: ContractionConfig) -> float:
-    """Distance in the composite weighted norm of the contraction argument."""
+def composite_distance(
+    tree: ScenarioTree, t1: RbsdeSolution, t2: RbsdeSolution, cfg: ContractionConfig
+) -> float:
+    """Distance of two points (Y, U, Z) in the composite weighted norm of the contraction argument."""
     lip, b, g = cfg.lipschitz, cfg.beta, cfg.gamma
     root_alpha = np.sqrt(cfg.alpha)
     dy = [t1.y[k] - t2.y[k] for k in range(tree.n_steps)]
@@ -141,7 +135,7 @@ class PicardTrace:
         ]
 
 
-def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: Triple) -> GeneratorSpec:
+def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: RbsdeSolution) -> GeneratorSpec:
     f_levels, g_levels = gen.given_levels(tree)
     if gen.f_state is not None:
         f_levels = [gen.f_state(tree, k, point.y[k], point.u[k]) for k in range(tree.n_steps)]
@@ -161,32 +155,30 @@ def picard_solve(
     tree: ScenarioTree,
     gen: GeneratorSpec,
     cfg: ContractionConfig,
-    init: Optional[Triple] = None,
+    init: Optional[RbsdeSolution] = None,
 ) -> PicardTrace:
-    """Iterate the frozen-generator map from (0, 0, 0) until the move is small.
+    """Iterate the frozen-generator map from (0, 0, 0), or ``init``, until the move is small.
 
-    A sweep computes only (Y, U, Z), which is all the next sweep and the
-    distance read; the final iterate is solved in full, push and residuals
-    included.  Y_N = xi in every sweep, so xi and h are checked and Y_N's
-    representation is made once, before the first sweep; a sweep checks only
-    its frozen f and g.  Raises NoConvergence (carrying the distance trace)
-    if the iteration cap is reached first.
+    A sweep is an integrands-only solve, (Y, U, Z) alone, which is all the
+    next sweep and the distance read; the final iterate is solved in full,
+    push and residuals included.  Y_N = xi in every sweep, so xi and h are
+    checked and Y_N's representation is made once, before the first sweep; a
+    sweep checks only its frozen f and g.  Raises NoConvergence (carrying the
+    distance trace) if the iteration cap is reached first.
     """
-    solve = solve_mpp_only if tree.n_brownian == 1 else solve_given_generators
     leaf = leaf_representation(tree, gen)
-    point = init if init is not None else zero_triple(tree)
+    point = init if init is not None else _zero_point(tree)
     distances = []
     frozen = None
     for _ in range(cfg.max_iter):
         frozen = _frozen_spec(tree, gen, point)
-        sweep = solve(tree, frozen, integrands_only=True, leaf=leaf)
-        new_point = Triple(y=sweep.y, u=sweep.u, z=sweep.z)
-        d = composite_distance(tree, point, new_point, cfg)
+        sweep = solve_given_generators(tree, frozen, integrands_only=True, leaf=leaf)
+        d = composite_distance(tree, point, sweep, cfg)
         distances.append(d)
-        point = new_point
+        point = sweep
         if d <= cfg.tol:
             break
     else:
         raise NoConvergence(distances, cfg.tol)
 
-    return PicardTrace(distances=distances, solution=solve(tree, frozen, leaf=leaf), frozen_spec=frozen)
+    return PicardTrace(distances, solve_given_generators(tree, frozen, leaf=leaf), frozen)

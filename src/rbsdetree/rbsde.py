@@ -3,17 +3,18 @@
 The scheme is the explicit one-step reflection: Y_N = xi at the leaves, then
 backward Ytil_k = E[Y_{k+1} | node] + f_k dA_k + g_k dt_k, the push increment
 dK_k = (h_k - Ytil_k)^+ and Y_k = max(Ytil_k, h_k).  The integrands (Z, U)
-come from the one-step martingale representation of Y_{k+1}.
+come from the one-step martingale representation of Y_{k+1}; a jump-only
+tree is the same equation with no Brownian moves, and so with no Z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BetaZero, BrownianBranchesPresent
+from .errors import BetaZero
 from .lattice import NodeProcess, Representation, ScenarioTree, cexp_level
 from .lattice import extract_representation, representation_integrands
 from .snell import doob_meyer, snell_envelope
@@ -78,21 +79,22 @@ class GeneratorSpec:
 class RbsdeSolution:
     """Node-indexed solution processes of one reflected backward solve.
 
-    ``z`` is None in jump-only mode.  ``dk[k]`` is the push increment decided
+    ``z`` is None on a jump-only tree.  ``dk[k]`` is the push increment decided
     at level k; ``k_cum`` the accumulated push (K_0 = 0).  ``residual[k]`` is
-    the per-node L2 representation residual.  An integrands-only solve
-    leaves those three None.  ``y[N]`` is the spec's xi array itself.
+    the per-node L2 representation residual.  An integrands-only solve, a
+    point (Y, U, Z) of the Picard iteration, leaves those three None.
+    ``y[N]`` is the spec's xi array itself.
     """
 
     y: NodeProcess
     u: NodeProcess
     z: Optional[NodeProcess]
-    dk: Optional[NodeProcess]
-    k_cum: Optional[NodeProcess]
-    residual: Optional[NodeProcess]
+    dk: Optional[NodeProcess] = None
+    k_cum: Optional[NodeProcess] = None
+    residual: Optional[NodeProcess] = None
 
 
-def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_only, leaf=None):
+def _solve_backward(tree, f_levels, g_levels, xi, h, integrands_only, leaf=None):
     """One backward pass: the representation of Y_{k+1} gives the conditional
     mean that sets Y_k and the integrands (U_k, Z_k).  ``integrands_only``
     stops at (Y, U, Z), with no push and no representation residual.  Y_N = xi
@@ -110,15 +112,8 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, with_brownian, integrands_o
         y[k] = np.maximum(ytil, h[k])
         u[k], z[k], residual[k] = rep.u, rep.z, rep.residual
         dk[k] = None if integrands_only else np.maximum(h[k] - ytil, 0.0)
-    full = not integrands_only
-    return RbsdeSolution(
-        y=y,
-        u=u,
-        z=z if with_brownian else None,
-        dk=dk if full else None,
-        k_cum=tree.path_sum(dk) if full else None,
-        residual=residual if full else None,
-    )
+    sol = RbsdeSolution(y=y, u=u, z=z if tree.n_brownian == 2 else None)
+    return sol if integrands_only else replace(sol, dk=dk, k_cum=tree.path_sum(dk), residual=residual)
 
 
 def leaf_representation(tree: ScenarioTree, gen: GeneratorSpec) -> Representation:
@@ -133,25 +128,13 @@ def solve_given_generators(
 ) -> RbsdeSolution:
     """Solve the reflected equation when f and g are known processes.
 
+    On a jump-only tree Z is None and g dt is a drift like any other.
     ``integrands_only`` returns Y, U and Z alone: what a fixed-point sweep reads.
     ``leaf`` is ``leaf_representation(tree, gen)``; xi and h are then not checked again.
     """
     gen.validate(tree, generators_only=leaf is not None)
     f_levels, g_levels = gen.given_levels(tree)
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, True, integrands_only, leaf)
-
-
-def solve_mpp_only(
-    tree: ScenarioTree, gen: GeneratorSpec, *, integrands_only=False, leaf=None
-) -> RbsdeSolution:
-    """Solve the jump-only reflected equation (no Brownian component, g = 0)."""
-    if tree.n_brownian != 1:
-        raise BrownianBranchesPresent("tree was built with Brownian branching")
-    gen.validate(tree, generators_only=leaf is not None)
-    f_levels, g_levels = gen.given_levels(tree)
-    if any(np.any(g != 0) for g in g_levels):
-        raise ValueError("jump-only mode requires g identically zero")
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, False, integrands_only, leaf)
+    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, integrands_only, leaf)
 
 
 def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:

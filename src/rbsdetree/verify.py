@@ -20,17 +20,18 @@ from .instances import (
     random_given_instance,
     random_oracle_instance,
     random_picard_instance,
+    state_levels,
     terminal_payoff,
 )
-from .picard import Triple, picard_solve, select_contraction_parameters
+from .picard import picard_solve, select_contraction_parameters
 from .rbsde import (
     GeneratorSpec,
+    RbsdeSolution,
     check_equation_residual,
     check_skorohod,
     a_priori_majorant,
     reward_process,
     solve_given_generators,
-    solve_mpp_only,
     solve_via_snell,
 )
 from .stopping import (
@@ -89,8 +90,7 @@ def _count(scale: str, small: int) -> int:
 def criterion_oracle_equivalence(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 1)
     worst = 0.0
-    n = _count(scale, 20)
-    for _ in range(n):
+    for _ in range(n := _count(scale, 20)):
         tree, gen = random_oracle_instance(rng)
         sol = solve_given_generators(tree, gen)
         cert = brute_force_value(tree, reward_process(tree, gen))
@@ -105,7 +105,7 @@ def criterion_oracle_equivalence(scale: str = "small"):
 def criterion_skorohod(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 2)
     worst_prod = worst_neg = worst_bar = 0.0
-    for _ in range(_count(scale, 50)):
+    for _ in range(n := _count(scale, 50)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
         rep = check_skorohod(tree, sol, gen.h)
@@ -115,7 +115,7 @@ def criterion_skorohod(scale: str = "small"):
     ok = max(worst_prod, worst_neg, worst_bar) <= 1e-12
     return ok, (
         f"max (Y-h)dK = {worst_prod:.3e}, max -dK = {worst_neg:.3e}, "
-        f"max h-Y = {worst_bar:.3e} (tol 1e-12)"
+        f"max h-Y = {worst_bar:.3e} (tol 1e-12) over {n} instances"
     )
 
 
@@ -126,14 +126,15 @@ def criterion_skorohod(scale: str = "small"):
 def criterion_route_equivalence(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 2)  # same instances as criterion 2
     worst = 0.0
-    for _ in range(_count(scale, 50)):
+    for _ in range(n := _count(scale, 50)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         direct = solve_given_generators(tree, gen)
         y, dec, _ = solve_via_snell(tree, gen)
         for k in range(tree.n_steps + 1):
             worst = max(worst, float(np.max(np.abs(direct.y[k] - y[k]))))
             worst = max(worst, float(np.max(np.abs(direct.k_cum[k] - dec.k_cum[k]))))
-    return worst <= 1e-10, f"max node-wise |direct - envelope route| = {worst:.3e} (tol 1e-10)"
+    detail = f"max node-wise |direct - envelope route| = {worst:.3e} over {n} instances (tol 1e-10)"
+    return worst <= 1e-10, detail
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def criterion_picard(scale: str = "small"):
     worst_ratio = 0.0
     worst_gap = 0.0
     max_iters = 0
-    for i in range(_count(scale, 20)):
+    for i in range(n := _count(scale, 20)):
         n_brownian = 1 if i % 4 == 3 else 2
         tree, gen = random_picard_instance(rng, n_brownian=n_brownian)
         lip = gen.lipschitz
@@ -156,24 +157,16 @@ def criterion_picard(scale: str = "small"):
         for d1, d2 in zip(trace.distances[1:], trace.distances[2:]):
             if d1 > 1e-12:
                 worst_ratio = max(worst_ratio, d2 / d1)
-        ones = Triple(
-            y=[np.ones(tree.level_size(k)) for k in range(tree.n_steps + 1)],
-            u=[np.ones((tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)],
-            z=[np.ones(tree.level_size(k)) for k in range(tree.n_steps)]
-            if n_brownian == 2
-            else None,
-        )
-        other = picard_solve(tree, gen, cfg, init=ones)
-        gap = max(
-            float(np.max(np.abs(trace.solution.y[k] - other.solution.y[k])))
-            for k in range(tree.n_steps + 1)
-        )
-        worst_gap = max(worst_gap, gap)
+        sol = trace.solution
+        ones = RbsdeSolution(y=[np.ones_like(x) for x in sol.y], u=[np.ones_like(x) for x in sol.u],
+                             z=None if sol.z is None else [np.ones_like(x) for x in sol.z])
+        other = picard_solve(tree, gen, cfg, init=ones).solution
+        worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b))) for a, b in zip(sol.y, other.y)])
         bound = cfg.alpha + 0.05
     ok = worst_ratio <= bound and worst_gap <= 1e-8 and max_iters <= 40
     return ok, (
         f"max ratio = {worst_ratio:.4f} (bound {bound:.4f}), max iters = {max_iters}, "
-        f"init gap = {worst_gap:.3e} (tol 1e-8)"
+        f"init gap = {worst_gap:.3e} (tol 1e-8) over {n} instances"
     )
 
 
@@ -185,7 +178,7 @@ def criterion_epsilon_optimality(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 5)
     worst_gap = -np.inf
     worst_flat = 0.0
-    for _ in range(_count(scale, 20)):
+    for _ in range(n := _count(scale, 20)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
         eta = reward_process(tree, gen)
@@ -197,7 +190,8 @@ def criterion_epsilon_optimality(scale: str = "small"):
     ok = worst_gap <= 1e-12 and worst_flat <= 1e-12
     return ok, (
         f"max Y_0 - reward - eps = {worst_gap:.3e}, "
-        f"max push before stop = {worst_flat:.3e} (tol 1e-12)"
+        f"max push before stop = {worst_flat:.3e} (tol 1e-12) "
+        f"over {n} instances x eps in {{0.1,0.01,0.001}}"
     )
 
 
@@ -209,7 +203,7 @@ def criterion_smallest_optimal(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 6)
     worst_value = 0.0
     latest = True
-    for _ in range(_count(scale, 20)):
+    for _ in range(n := _count(scale, 20)):
         tree, gen = random_oracle_instance(rng)
         sol = solve_given_generators(tree, gen)
         eta = reward_process(tree, gen)
@@ -225,7 +219,7 @@ def criterion_smallest_optimal(scale: str = "small"):
     ok = worst_value <= 1e-10 and latest
     return ok, (
         f"max |Y_0 - reward(first contact)| = {worst_value:.3e} (tol 1e-10), "
-        f"earliest among optimal rules: {latest}"
+        f"earliest among optimal rules: {latest}, over {n} instances"
     )
 
 
@@ -236,8 +230,7 @@ def criterion_smallest_optimal(scale: str = "small"):
 def criterion_majorant(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 7)
     n_viol = 0
-    n = _count(scale, 20)
-    for _ in range(n):
+    for _ in range(n := _count(scale, 20)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
         for beta in (0.5, 1.0, 2.0):
@@ -297,7 +290,7 @@ def _cross_peak_residual(n_steps: int) -> float:
 def criterion_representation(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 8)
     worst_sep = 0.0
-    for i in range(_count(scale, 12)):
+    for i in range(n := _count(scale, 12)):
         tree, gen = _separable_instance(rng, i % 3)
         sol = solve_given_generators(tree, gen)
         rep = check_equation_residual(tree, sol, gen)
@@ -315,7 +308,7 @@ def criterion_representation(scale: str = "small"):
     gap = max(abs(a - b) for a, b in zip(peaks, predicted))
     ok = worst_sep <= 1e-12 and worst_cmean <= 1e-10 and gap <= 1e-12
     return ok, (
-        f"separable residual = {worst_sep:.3e} (tol 1e-12), cross-term conditional "
+        f"separable residual = {worst_sep:.3e} over {n} instances (tol 1e-12), cross-term conditional "
         f"mean = {worst_cmean:.3e} (tol 1e-10), cross-term peak residual at N = 4, 8 = "
         f"{peaks[0]:.6f}, {peaks[1]:.6f}, predicted sqrt(dt q(1-q)) with q = 1 - e^(-{CROSS_RATE} dt) "
         f"= {predicted[0]:.6f}, {predicted[1]:.6f} (gap {gap:.1e}, tol 1e-12)"
@@ -367,7 +360,7 @@ def criterion_fixtures(scale: str = "small"):
     errs["reflected dK_0"] = abs(float(sol.dk[0][0]) - 0.5)
 
     tree, gen = fixture_jump_count()
-    sol = solve_mpp_only(tree, gen)
+    sol = solve_given_generators(tree, gen)
     errs["jump Y_0"] = abs(float(sol.y[0][0]) - 0.5)
     errs["jump U"] = abs(float(sol.u[0][0, 0]) - 1.0)
     errs["jump |U|^2"] = abs(norm_sq(tree, sol.u, WeightedNorm("p", 0.0)) - np.log(2.0))
@@ -383,25 +376,59 @@ def criterion_fixtures(scale: str = "small"):
 
 
 # ---------------------------------------------------------------------------
-# 10. Jump-only solver equals the general one on degenerate trees.
+# 10. A jump-only tree solves as the binomial tree with the same jumps.
 # ---------------------------------------------------------------------------
+def w_free_pair(rng, n_steps: int, labels, rate: float):
+    """[(jump-only tree, spec), (binomial tree, spec)]: one problem on two trees, same grid and jumps.
+
+    xi, h, f and g depend on the level, the time and the jump count N only, so
+    the Brownian moves leave every process as on the jump-only tree, and Z = 0.
+    """
+    c_xi, n_xi, n_h = rng.uniform(-1.0, 1.0, size=3)
+    base, slack = rng.uniform(-0.5, 0.8, size=n_steps + 1), float(rng.choice([0.0, 0.5, 2.0]))
+    f_coef, g_coef = rng.uniform(-1.0, 1.0, size=(2, 3))
+    pair = []
+    for n_brownian in (1, 2):
+        tree = make_tree(n_steps, 1.0, labels, rate=rate, n_brownian=n_brownian)
+        xi = terminal_payoff(tree, const=c_xi, n=n_xi)
+        h = linear_barrier(tree, base=base, n=n_h, leaf_slack=slack, xi=xi)
+        f, g = (state_levels(tree, const=c, n=n, t=t) for c, n, t in (f_coef, g_coef))
+        pair.append((tree, GeneratorSpec(xi=xi, h=h, f_levels=f, g_levels=g)))
+    return pair
+
+
+def filtration_gap(pair):
+    """(max node-wise gap in Y, U, dK and K, max |Z| on the binomial tree) of a ``w_free_pair``.
+
+    Nodes match by jump history.  Branches are Brownian-major, so a binomial
+    branch's jump outcome is its index modulo the jump-only tree's branching.
+    """
+    (jump_tree, jump_gen), (tree, gen) = pair
+    a, b = solve_given_generators(jump_tree, jump_gen), solve_given_generators(tree, gen)
+    gap = 0.0
+    match = np.zeros(1, dtype=np.int64)  # the jump-only node of each binomial node
+    for k in range(tree.n_steps + 1):
+        pairs = [(a.y, b.y), (a.k_cum, b.k_cum)] + ([(a.u, b.u), (a.dk, b.dk)] if k < tree.n_steps else [])
+        gap = max([gap] + [float(np.max(np.abs(x[k][match] - y[k]))) for x, y in pairs])
+        if k < tree.n_steps:
+            b_k, jump_b_k = tree.branching(k), jump_tree.branching(k)
+            match = np.repeat(match * jump_b_k, b_k) + np.tile(np.arange(b_k) % jump_b_k, len(match))
+    return gap, max(float(np.max(np.abs(z))) for z in b.z)
+
+
 @_timed("jump-only mode equivalence")
 def criterion_mpp_only(scale: str = "small"):
     rng = np.random.default_rng(BASE_SEED + 10)
-    worst = 0.0
-    n = _count(scale, 20)
-    for _ in range(n):
-        tree, gen = random_given_instance(
-            rng, max_steps=4, n_brownian=1, with_jumps=True
-        )
-        a = solve_mpp_only(tree, gen)
-        b = solve_given_generators(tree, gen)
-        for k in range(tree.n_steps + 1):
-            worst = max(worst, float(np.max(np.abs(a.y[k] - b.y[k]))))
-        for k in range(tree.n_steps):
-            worst = max(worst, float(np.max(np.abs(a.u[k] - b.u[k]))))
-            worst = max(worst, float(np.max(np.abs(a.dk[k] - b.dk[k]))))
-    return worst <= 1e-12, f"max node-wise gap = {worst:.3e} over {n} instances (tol 1e-12)"
+    worst_gap = worst_z = 0.0
+    for _ in range(n := _count(scale, 20)):
+        labels = ("e1", "e2")[: int(rng.integers(1, 3))]
+        pair = w_free_pair(rng, int(rng.integers(1, 5)), labels, float(rng.uniform(0.3, 1.2)))
+        gap, z_max = filtration_gap(pair)
+        worst_gap, worst_z = max(worst_gap, gap), max(worst_z, z_max)
+    return max(worst_gap, worst_z) <= 1e-12, (
+        f"max node-wise gap jump-only vs binomial tree (Y, U, dK, K) = {worst_gap:.3e}, "
+        f"max |Z| = {worst_z:.3e} over {n} instances (tol 1e-12)"
+    )
 
 
 ALL_CRITERIA = (

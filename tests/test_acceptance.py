@@ -4,6 +4,8 @@ Each test runs the corresponding harness criterion at its stated tolerance
 and prints one pass/fail line (visible with ``pytest -s`` or on failure).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from rbsdetree import verify
@@ -76,8 +78,22 @@ def test_acceptance_9_hand_fixtures():
 
 
 def test_acceptance_10_jump_only_mode():
-    # jump-only solver equals the general solver on degenerate trees, 1e-12
+    # a jump-only tree solves as the binomial tree with the same jumps (W-free data), 1e-12
     _run(verify.criterion_mpp_only)
+
+
+def test_acceptance_10_fails_when_the_solver_drops_g_on_a_jump_only_tree(monkeypatch, capsys):
+    real = verify.solve_given_generators
+
+    def drops_g(tree, gen, **kwargs):
+        return real(tree, replace(gen, g_levels=None) if tree.n_brownian == 1 else gen, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_given_generators", drops_g)
+    result = verify.criterion_mpp_only("small")
+    assert not result.passed, result.line
+    gap = float(result.detail.split("(Y, U, dK, K) = ")[1].split(",")[0])
+    assert gap > 1e-3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_acceptance_suite_runner():
@@ -90,10 +106,26 @@ def test_acceptance_suite_runner():
         verify.run_all("huge")
 
 
+#: Instances each random-instance criterion runs at the small scale (twice that at full).
+SMALL_COUNTS = {
+    "criterion_oracle_equivalence": 20,
+    "criterion_skorohod": 50,
+    "criterion_route_equivalence": 50,
+    "criterion_picard": 20,
+    "criterion_epsilon_optimality": 20,
+    "criterion_smallest_optimal": 20,
+    "criterion_majorant": 20,
+    "criterion_representation": 12,
+    "criterion_mpp_only": 20,
+}
+
+
 def test_detail_line_reports_instances_run_at_full_scale():
-    result = verify.criterion_mpp_only("full")
-    assert result.passed, result.line
-    assert "over 40 instances" in result.detail
+    for scale, factor in (("small", 1), ("full", 2)):
+        for name, count in SMALL_COUNTS.items():
+            result = getattr(verify, name)(scale)
+            assert result.passed, result.line
+            assert f"over {count * factor} instances" in result.detail, result.line
 
 
 def test_a_picard_run_that_does_not_converge_fails_criterion_4(monkeypatch):

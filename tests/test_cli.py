@@ -181,11 +181,12 @@ def test_integral_floats_and_numeric_strings_are_read(tmp_path):
 
 def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
     """A solve checks its final iterate once: ``run_checks`` makes the one call of each check,
-    and ``run_stopping`` builds the one stopped reward that every stopping check reads."""
-    from rbsdetree import cli, picard
+    and the running gains of the one stopped reward, which every stopping check reads, are
+    built once, by the envelope route."""
+    from rbsdetree import cli, picard, rbsde
 
     calls = []
-    for module, name in [(cli, "reward_process")] + [
+    for module, name in [(rbsde, "running_gains")] + [
         (module, name) for module in (cli, picard) for name in ("check_skorohod", "check_equation_residual")
     ]:
         real = getattr(module, name)
@@ -198,11 +199,13 @@ def test_picard_solve_checks_its_final_iterate_once(tmp_path, monkeypatch):
         "generator": {"family": "affine", "fa": 0.2, "fb": 0.1, "ga": 0.1, "gz": 0.1},
         "beta": 1.2,
     }
-    for mode_raw in (raw, BASE):  # both with epsilon rules, first contact and the oracle
+    mpp_only = yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())
+    for mode_raw in (raw, mpp_only):  # both with epsilon rules, first contact and the oracle
+        assert mode_raw["stopping"]["epsilons"] and mode_raw["stopping"]["oracle"]
         calls.clear()
         out = tmp_path / mode_raw["mode"]
         assert main(["solve", "--config", _write(tmp_path, mode_raw), "--out", str(out)]) == 0
-        assert sorted(calls) == ["check_equation_residual", "check_skorohod", "reward_process"]
+        assert sorted(calls) == ["check_equation_residual", "check_skorohod", "running_gains"]
         checks = json.loads((out / "summary.json").read_text())["checks"]
         assert checks["minimal_push"]["passed"] and checks["equation_residual"]["passed"]
 
@@ -215,17 +218,32 @@ def test_run_checks_builds_the_reward_process_once(monkeypatch):
     real = rbsde.running_gains
     monkeypatch.setattr(rbsde, "running_gains", lambda *a: calls.append(1) or real(*a))
     tree, gen = build_problem(parse_config(yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())))
-    sol = cli.solve_mpp_only(tree, gen)
-    checks = cli.run_checks(tree, sol, gen, beta=1.0)
+    sol = cli.solve_given_generators(tree, gen)
+    checks, eta = cli.run_checks(tree, sol, gen, beta=1.0)
     assert calls == [1]
     assert checks["route_equivalence"]["passed"] and checks["push_only_on_contact"]["passed"]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(eta, rbsde.reward_process(tree, gen), strict=True))
 
 
 def test_stopping_verdicts_read_the_reward_process_of_the_cli(tmp_path, monkeypatch, capsys):
-    """Without its running gains the stopped reward misses Y_0, and the stopping checks say so."""
+    """The stopping checks read the envelope route's eta; without its running gains that eta
+    misses Y_0, and the stopping checks say so."""
     from rbsdetree import cli
 
-    monkeypatch.setattr(cli, "reward_process", lambda tree, spec: [*spec.h[:-1], spec.xi])
+    handed = []
+    real_snell, real_stopping = cli.solve_via_snell, cli.run_stopping
+
+    def snell(tree, spec):
+        y, dec, eta = real_snell(tree, spec)
+        handed.append(eta)
+        return y, dec, eta
+
+    def stopping(tree, spec, sol, eta, *args):
+        assert eta is handed[0]
+        return real_stopping(tree, spec, sol, [*spec.h[:-1], spec.xi], *args)
+
+    monkeypatch.setattr(cli, "solve_via_snell", snell)
+    monkeypatch.setattr(cli, "run_stopping", stopping)
     raw = yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())
     assert raw["generator"]["f"]["const"] != 0 and raw["stopping"]["oracle"]
     out = tmp_path / "run"

@@ -158,6 +158,37 @@ def test_verify_with_unusable_output_path_exits_2_before_the_criteria(tmp_path, 
     assert runs == []
 
 
+PIECEWISE = {"type": "piecewise", "breakpoints": [0.0, 1.0], "values": [0.0, 1.0], "phi_rows": [[1.0], [1.0]]}
+
+
+@pytest.mark.parametrize(
+    "name, changes, fieldname",
+    [
+        ("mpp_only", {"terminal": {"cnst": 3.0}}, "terminal.cnst"),
+        ("mpp_only", {"barrier": {"leaf_slak": 0.5}}, "barrier.leaf_slak"),
+        ("mpp_only", {"stoping": {"oracle": True}}, "stoping"),
+        ("reflected_binomial", {"grid": {"n_step": 2}}, "grid.n_step"),
+        ("mpp_only", {"compensator": {"values": [0.0, 1.0]}}, "compensator.values"),
+        ("mpp_only", {"compensator": PIECEWISE}, "compensator.rate"),  # rate is the linear type's
+        ("mpp_only", {"generator": {"fa": 0.2}}, "generator.fa"),  # the given family has no coefficients
+        ("picard_affine", {"generator": {"clip": 1.0}}, "generator.clip"),  # affine is not clipped
+        ("mpp_only", {"generator": {"f": {"const": 0.1, "tanhw": 1.0}}}, "generator.f.tanhw"),
+        ("picard_affine", {"generator": {"g": {"nn": 1.0}}}, "generator.g.nn"),
+        ("mpp_only", {"stopping": {"epsilon": [0.1]}}, "stopping.epsilon"),
+        ("picard_affine", {"picard": {"maxiter": 10}}, "picard.maxiter"),
+        ("mpp_only", {"simulate": {"paths": 10}}, "simulate.paths"),
+    ],
+)
+def test_an_unknown_config_key_exits_2_naming_it_before_any_solve(tmp_path, capsys, monkeypatch, name, changes,
+                                                                  fieldname):
+    """A misspelt key is not read, so it would silently leave its field at the default."""
+    solves = []
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: solves.append(cfg))
+    code = main(["solve", "--config", _write(tmp_path, _shipped(name, **changes)), "--out", str(tmp_path / "run")])
+    assert code == 2 and f"config error: {fieldname}: unknown key" in capsys.readouterr().err
+    assert solves == []
+
+
 def _shipped(name, **changes):
     """A shipped config with some fields of its sections, or some top-level scalars, replaced."""
     raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
@@ -191,7 +222,7 @@ def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     tmp_path, capsys, monkeypatch, name, verb, changes, fieldname, detail
 ):
     solves = []
-    for attr in ("solve_given_generators", "solve_mpp_only", "picard_solve", "brute_force_value"):
+    for attr in ("solve_given_generators", "picard_solve", "brute_force_value"):
         monkeypatch.setattr(cli, attr, lambda *a, _n=attr, **kw: solves.append(_n))
     config = _write(tmp_path, _shipped(name, **changes))
     with warnings.catch_warnings():  # an overflow while building xi or h is not reported as well

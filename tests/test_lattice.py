@@ -64,6 +64,9 @@ def test_node_state_tracks_branches():
     # Brownian-major branch order: up-move with no jump, mark a, mark b, then
     # the same three outcomes after a down-move
     assert tree.branch_mark[0].tolist() == [-1, 0, 1, -1, 0, 1]
+    # weight 1/2 per move times (1 - q), then q phi(e) with phi = (1/2, 1/2), bit for bit
+    q = tree.jump_prob[0]
+    assert tree.branch_prob[0].tolist() == [0.5 * (1.0 - q), 0.5 * q * 0.5, 0.5 * q * 0.5] * 2
     assert tree.w[1][0] == pytest.approx(np.sqrt(dt))
     assert tree.n_jumps[1].tolist() == [0, 1, 1, 0, 1, 1]
     assert tree.w[1][3] == pytest.approx(-np.sqrt(dt))

@@ -10,18 +10,16 @@ from rbsdetree import (
     ContractionConfig,
     LipschitzConstants,
     NoConvergence,
-    Triple,
+    RbsdeSolution,
     check_equation_residual,
     check_skorohod,
     composite_distance,
     picard_solve,
     select_contraction_parameters,
     solve_given_generators,
-    solve_mpp_only,
-    zero_triple,
 )
 from rbsdetree.instances import random_picard_instance
-from rbsdetree.picard import ALPHA_MAX, _frozen_spec
+from rbsdetree.picard import ALPHA_MAX, _frozen_spec, _zero_point
 from rbsdetree.verify import fixture_linear_fixed_point
 
 
@@ -71,7 +69,7 @@ def test_contraction_rate_and_init_independence():
         for d1, d2 in zip(trace.distances[1:], trace.distances[2:]):
             if d1 > 1e-12:
                 assert d2 / d1 <= cfg.alpha + 0.05
-        ones = Triple(
+        ones = RbsdeSolution(
             y=[np.ones(tree.level_size(k)) for k in range(tree.n_steps + 1)],
             u=[np.ones((tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)],
             z=None
@@ -116,9 +114,9 @@ def test_composite_distance_is_a_metric_at_zero():
     tree, gen = random_picard_instance(rng)
     lip = gen.lipschitz
     cfg = select_contraction_parameters(lip, lip.l_u**2 + 2 * lip.l_f + 0.5)
-    z = zero_triple(tree)
+    z = _zero_point(tree)
     assert composite_distance(tree, z, z, cfg) == 0.0
-    other = Triple(
+    other = RbsdeSolution(
         y=[x + 1.0 for x in z.y], u=z.u, z=z.z
     )
     assert composite_distance(tree, z, other, cfg) > 0.0
@@ -153,15 +151,15 @@ def test_composite_distance_triangle_inequality():
     lip = gen.lipschitz
     cfg = select_contraction_parameters(lip, lip.l_u**2 + 2 * lip.l_f + 0.5)
 
-    def rand_triple():
-        return Triple(
+    def rand_point():
+        return RbsdeSolution(
             y=[rng.normal(size=tree.level_size(k)) for k in range(tree.n_steps + 1)],
             u=[rng.normal(size=(tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)],
             z=[rng.normal(size=tree.level_size(k)) for k in range(tree.n_steps)],
         )
 
     for _ in range(10):
-        a, b, c = rand_triple(), rand_triple(), rand_triple()
+        a, b, c = rand_point(), rand_point(), rand_point()
         assert composite_distance(tree, a, c, cfg) <= composite_distance(
             tree, a, b, cfg
         ) + composite_distance(tree, b, c, cfg) + 1e-12
@@ -182,14 +180,12 @@ def _same_bits(a, b):
 
 def _full_solve_loop(tree, gen, cfg):
     """The sweep loop with a full solve per sweep: the distances it reports."""
-    solve = solve_mpp_only if tree.n_brownian == 1 else solve_given_generators
-    point = zero_triple(tree)
+    point = _zero_point(tree)
     distances = []
     for _ in range(cfg.max_iter):
-        sol = solve(tree, _frozen_spec(tree, gen, point))
-        new_point = Triple(y=sol.y, u=sol.u, z=sol.z)
-        distances.append(composite_distance(tree, point, new_point, cfg))
-        point = new_point
+        sol = solve_given_generators(tree, _frozen_spec(tree, gen, point))
+        distances.append(composite_distance(tree, point, sol, cfg))
+        point = sol
         if distances[-1] <= cfg.tol:
             return distances, sol
     raise NoConvergence(distances, cfg.tol)
@@ -200,8 +196,7 @@ def _full_solve_loop(tree, gen, cfg):
 def test_final_solution_is_the_full_solve_of_its_frozen_spec(seed, n_brownian):
     tree, gen, cfg = _instance(seed, n_brownian)
     trace = picard_solve(tree, gen, cfg)
-    solve = solve_mpp_only if n_brownian == 1 else solve_given_generators
-    direct = solve(tree, trace.frozen_spec)
+    direct = solve_given_generators(tree, trace.frozen_spec)
     sol = trace.solution
     for name in ("y", "u", "dk", "k_cum", "residual"):
         assert _same_bits(getattr(sol, name), getattr(direct, name)), name
@@ -232,11 +227,16 @@ def test_a_sweep_whose_generator_turns_nan_raises():
     assert len(calls) == 2 * tree.n_steps
 
 
-def test_jump_only_sweep_rejects_a_nonzero_g():
+def test_a_jump_only_sweep_solves_a_g_drift():
+    """A g dt drift on a jump-only tree is solved, not rejected: the final iterate solves its frozen g."""
     tree, gen, cfg = _instance(6, 1)
     g_state = lambda tree_, k, y, z: np.full(tree_.level_size(k), 0.1)  # noqa: E731
-    with pytest.raises(ValueError, match="g identically zero"):
-        picard_solve(tree, replace(gen, g_state=g_state), cfg)
+    trace = picard_solve(tree, replace(gen, g_state=g_state), cfg)
+    assert all(np.array_equal(g, np.full(len(g), 0.1)) for g in trace.frozen_spec.g_levels)
+    assert trace.solution.z is None
+    assert _same_bits(trace.solution.y, solve_given_generators(tree, trace.frozen_spec).y)
+    without_g = picard_solve(tree, gen, cfg)
+    assert trace.solution.y[0][0] != without_g.solution.y[0][0]
 
 
 @pytest.mark.parametrize("n_brownian", [1, 2])
@@ -263,8 +263,7 @@ def test_a_barrier_above_the_payoff_raises_before_the_first_sweep(monkeypatch):
 
     tree, gen, cfg = _instance(8, 2)
     calls = []
-    for name in ("solve_given_generators", "solve_mpp_only"):
-        monkeypatch.setattr(picard, name, lambda *a, _n=name, **kw: calls.append(_n))
+    monkeypatch.setattr(picard, "solve_given_generators", lambda *a, **kw: calls.append("solve"))
     f_state = lambda tree_, k, y, u: calls.append("f_state") or gen.f_state(tree_, k, y, u)  # noqa: E731
     h = gen.h[:-1] + [gen.xi + 0.25]
     with pytest.raises(ValueError, match="barrier exceeds terminal payoff at a leaf by 2.500e-01"):

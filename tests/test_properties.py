@@ -13,41 +13,41 @@ from rbsdetree import (
     reward_process,
     running_gains,
     solve_given_generators,
-    solve_mpp_only,
     solve_via_snell,
     stop_levels,
 )
 from rbsdetree.instances import make_tree
+from rbsdetree.verify import filtration_gap, w_free_pair
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def trees(draw, n_brownian=None):
+def trees(draw):
     """Tree of 1-3 steps with 1-2 marks; rate 0 gives Brownian-only levels."""
     n_steps = draw(st.integers(1, 3))
     labels = ("a", "b")[: draw(st.integers(1, 2))]
     rate = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
-    if n_brownian is None:
-        n_brownian = draw(st.sampled_from([1, 2]))
+    n_brownian = draw(st.sampled_from([1, 2]))
     return make_tree(n_steps, 1.0, labels, rate=rate, n_brownian=n_brownian)
 
 
 @st.composite
-def problems(draw, n_brownian=None, with_g=True):
+def problems(draw):
     """Node-wise random payoff, barrier and generators on a random tree.
 
     The leaf barrier sits at or below the payoff; interior barrier levels are
-    drawn on the payoff's scale so that reflection binds on many nodes.
+    drawn on the payoff's scale so that reflection binds on many nodes.  A
+    jump-only tree carries a g dt drift too.
     """
-    tree = draw(trees(n_brownian))
+    tree = draw(trees())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
     xi = rng.normal(size=tree.n_leaves)
     h = [rng.normal(size=n) for n in sizes[:-1]]
     h.append(xi - rng.choice([0.0, 0.5], size=tree.n_leaves))
     f_levels = [rng.normal(size=n) for n in sizes[:-1]]
-    g_levels = [rng.normal(size=n) for n in sizes[:-1]] if with_g and tree.n_brownian == 2 else None
+    g_levels = [rng.normal(size=n) for n in sizes[:-1]]
     return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_levels, g_levels=g_levels)
 
 
@@ -85,18 +85,18 @@ def test_minimal_push_conditions_hold(problem):
 
 
 @SETTINGS
-@given(problem=problems(n_brownian=1, with_g=False))
-def test_jump_only_solver_equals_general_solver(problem):
-    tree, gen = problem
-    a = solve_mpp_only(tree, gen)
-    b = solve_given_generators(tree, gen)
-    assert a.z is None
-    for k in range(tree.n_steps + 1):
-        assert np.max(np.abs(a.y[k] - b.y[k])) <= 1e-12
-        assert np.max(np.abs(a.k_cum[k] - b.k_cum[k])) <= 1e-12
-    for k in range(tree.n_steps):
-        assert np.max(np.abs(a.u[k] - b.u[k])) <= 1e-12
-        assert np.max(np.abs(a.dk[k] - b.dk[k])) <= 1e-12
+@given(
+    n_steps=st.integers(1, 4),
+    n_marks=st.integers(1, 2),
+    rate=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jump_only_solver_equals_general_solver(n_steps, n_marks, rate, seed):
+    """With data free of W, the jump-only tree solves as the binomial tree with the same jumps."""
+    pair = w_free_pair(np.random.default_rng(seed), n_steps, ("a", "b")[:n_marks], rate)
+    assert solve_given_generators(*pair[0]).z is None
+    gap, z_max = filtration_gap(pair)
+    assert gap <= 1e-12 and z_max <= 1e-12
 
 
 def _per_leaf_reward(tree, gen, rule):

@@ -3,14 +3,12 @@ import pytest
 
 from rbsdetree import (
     BetaZero,
-    BrownianBranchesPresent,
     GeneratorSpec,
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,
     reward_process,
     solve_given_generators,
-    solve_mpp_only,
     solve_via_snell,
 )
 from rbsdetree.instances import make_tree, random_given_instance
@@ -28,7 +26,8 @@ def test_reflected_binomial_fixture():
 
 def test_jump_count_fixture():
     tree, gen = fixture_jump_count()
-    sol = solve_mpp_only(tree, gen)
+    sol = solve_given_generators(tree, gen)
+    assert sol.z is None  # a jump-only tree has no Brownian integrand
     assert sol.y[0][0] == pytest.approx(0.5, abs=1e-12)
     assert sol.u[0][0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(sol.residual[0])) <= 1e-12
@@ -59,20 +58,6 @@ def test_route_equivalence_and_k_agreement():
             assert np.allclose(direct.k_cum[k], dec.k_cum[k], atol=1e-10)
         # the reward process it returns is the one ``reward_process`` builds, bit for bit
         assert all(a.tobytes() == b.tobytes() for a, b in zip(eta, reward_process(tree, gen), strict=True))
-
-
-def test_mpp_only_guards():
-    tree = make_tree(2, 1.0, ("a",), rate=0.5)  # has Brownian branching
-    xi = tree.w[-1].copy()
-    gen = GeneratorSpec(xi=xi, h=[np.full(tree.level_size(k), -10.0) for k in range(2)] + [xi])
-    with pytest.raises(BrownianBranchesPresent):
-        solve_mpp_only(tree, gen)
-    tree = make_tree(2, 1.0, ("a",), rate=0.5, n_brownian=1)
-    xi = tree.n_jumps[-1].astype(float)
-    h = [np.full(tree.level_size(k), -10.0) for k in range(2)] + [xi]
-    gen = GeneratorSpec(xi=xi, h=h, g_levels=[np.ones(tree.level_size(k)) for k in range(2)])
-    with pytest.raises(ValueError):
-        solve_mpp_only(tree, gen)
 
 
 def test_validate_rejects_barrier_above_payoff():
@@ -148,14 +133,17 @@ def test_unreflected_solution_is_conditional_expectation():
 
 
 def test_mpp_only_constant_drift_integral():
-    # f = c, xi = 0, inactive barrier: Y_0 = c * A(T)
+    # f = c, g = d, xi = 0, inactive barrier on a jump-only tree: Y_0 = c * A(T) + d * T
     tree = make_tree(4, 1.0, ("a",), rate=0.8, n_brownian=1)
-    c = 0.7
+    c, d = 0.7, -0.3
     xi = np.zeros(tree.n_leaves)
     h = [np.full(tree.level_size(k), -10.0) for k in range(4)] + [xi - 10.0]
     gen = GeneratorSpec(xi=xi, h=h, f_levels=[np.full(tree.level_size(k), c) for k in range(4)])
-    sol = solve_mpp_only(tree, gen)
+    sol = solve_given_generators(tree, gen)
     assert sol.y[0][0] == pytest.approx(c * 0.8, abs=1e-12)
+    g_levels = [np.full(tree.level_size(k), d) for k in range(4)]
+    sol = solve_given_generators(tree, GeneratorSpec(xi=xi, h=h, f_levels=gen.f_levels, g_levels=g_levels))
+    assert sol.z is None and sol.y[0][0] == pytest.approx(c * 0.8 + d * 1.0, abs=1e-12)
 
 
 def test_barrier_dominant_push_absorbs_drift():
@@ -166,7 +154,7 @@ def test_barrier_dominant_push_absorbs_drift():
     gen = GeneratorSpec(
         xi=xi, h=h, f_levels=[np.full(tree.level_size(k), -1.0) for k in range(2)]
     )
-    sol = solve_mpp_only(tree, gen)
+    sol = solve_given_generators(tree, gen)
     for k in range(3):
         assert np.allclose(sol.y[k], 10.0, atol=1e-12)
     for k in range(2):

@@ -8,7 +8,7 @@ from rbsdetree import (
     WeightedNorm,
     cauchy_weight_bound,
     norm_sq,
-    solve_mpp_only,
+    solve_given_generators,
 )
 from rbsdetree.cli import norm_table
 from rbsdetree.instances import make_tree
@@ -45,7 +45,7 @@ def test_zero_process_and_lebesgue_mass():
 
 def test_jump_fixture_norm():
     tree, gen = fixture_jump_count()
-    sol = solve_mpp_only(tree, gen)
+    sol = solve_given_generators(tree, gen)
     assert norm_sq(tree, sol.u, WeightedNorm("p", 0.0)) == pytest.approx(
         np.log(2.0), abs=1e-12
     )
