@@ -46,6 +46,7 @@ from .rbsde import (
 )
 from .snell import envelope_jump_support
 from .stopping import (
+    ENUMERATION_CAP,
     brute_force_value,
     epsilon_optimal_time,
     k_flatness_before_stop,
@@ -717,7 +718,13 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.affine is not None:
         raise ConfigInvalid("mode", "the oracle verb needs a given-generator family")
-    tree, sol, spec = _solve(cfg)[:3]
+    tree, spec = build_problem(cfg)
+    n_interior = tree.total_nodes - tree.n_leaves
+    if n_interior > ENUMERATION_CAP:  # before the solve, which the oracle could not certify
+        raise ConfigInvalid(
+            "grid.n_steps", f"{n_interior} interior nodes exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
+    sol = solve_given_generators(tree, spec)
     cert = brute_force_value(tree, reward_process(tree, spec), keep_table=False)
     y0 = float(sol.y[0][0])
     gap = abs(y0 - cert.value)

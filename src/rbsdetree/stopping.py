@@ -101,7 +101,8 @@ def brute_force_value(tree: ScenarioTree, eta: NodeProcess, keep_table: bool = T
 
     Returns the maximal probability-weighted reward and the maximizing rule;
     ties break toward the rule whose stop set comes first in (level, index)
-    order.
+    order.  The table of every rule's value is kept only with
+    ``keep_table``; without it the memory does not grow with 2^n_interior.
     """
     sizes = [tree.level_size(k) for k in range(tree.n_steps)]
     n_interior = sum(sizes)
@@ -114,14 +115,15 @@ def brute_force_value(tree: ScenarioTree, eta: NodeProcess, keep_table: bool = T
     path_nodes = np.column_stack([offset + anc for offset, anc in zip(offsets, ancestors)])
     reward_stop = np.column_stack([eta[k][anc] for k, anc in enumerate(ancestors)])
 
-    values = _kernels.enumerate_rules(path_nodes, reward_stop, eta[-1], tree.prob[-1], n_interior)
-    best_mask = int(len(values) - 1 - np.argmax(values[::-1]))
+    value, best_mask, table = _kernels.enumerate_rules(
+        path_nodes, reward_stop, eta[-1], tree.prob[-1], n_interior, keep_table=keep_table
+    )
     return StoppingCertificate(
-        value=float(values[best_mask]),
+        value=value,
         best_rule=rule_from_mask(tree, best_mask),
         best_mask=best_mask,
         n_interior=n_interior,
-        all_values=values if keep_table else None,
+        all_values=table,
     )
 
 

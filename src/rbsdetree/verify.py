@@ -93,7 +93,7 @@ def criterion_oracle_equivalence(scale: str = "small"):
     for _ in range(n := _count(scale, 20)):
         tree, gen = random_oracle_instance(rng)
         sol = solve_given_generators(tree, gen)
-        cert = brute_force_value(tree, reward_process(tree, gen))
+        cert = brute_force_value(tree, reward_process(tree, gen), keep_table=False)
         worst = max(worst, abs(float(sol.y[0][0]) - cert.value))
     return worst <= 1e-10, f"max |Y_0 - oracle| = {worst:.3e} over {n} instances (tol 1e-10)"
 

@@ -214,9 +214,12 @@ OVERFLOW = {"const": 1.5e308, "t": 1.5e308}  # finite at t = 0, past the largest
         ("mpp_only", "norms", {"generator": {"f": OVERFLOW}}, "generator.f", "non-finite"),
         ("mpp_only", "solve", {"beta": 1000}, "beta", "e^(1000.0 + 0.0) overflows"),
         ("reflected_binomial", "norms", {"gamma": 1000}, "gamma", "e^(0.0 + 1000.0) overflows"),
+        ("mpp_only", "oracle", {"grid": {"n_steps": 5}}, "grid.n_steps",
+         "31 interior nodes exceeds the enumeration cap 20"),
     ],
     ids=["slack-picard", "slack-oracle", "payoff-overflow", "barrier-overflow", "f-overflow-given",
-         "f-overflow-picard", "g-overflow-picard", "f-overflow-norms", "beta-overflow", "gamma-overflow"],
+         "f-overflow-picard", "g-overflow-picard", "f-overflow-norms", "beta-overflow", "gamma-overflow",
+         "oracle-over-cap"],
 )
 def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     tmp_path, capsys, monkeypatch, name, verb, changes, fieldname, detail
@@ -232,6 +235,14 @@ def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     assert code == 2 and f"config error: {fieldname}: " in err and detail in err
     assert solves == []
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_solve_above_the_enumeration_cap_records_the_oracle_as_skipped(tmp_path):
+    """Only the oracle verb rejects such a tree; ``solve`` certifies what it can."""
+    config = _write(tmp_path, _shipped("mpp_only", grid={"n_steps": 5}))
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    stopping = json.loads((tmp_path / "run" / "summary.json").read_text())["stopping"]
+    assert stopping["oracle"] == {"skipped": "31 interior nodes exceeds enumeration cap 20"}
 
 
 @pytest.mark.parametrize("verb", ["solve", "norms"])

@@ -52,6 +52,15 @@ def _random_inputs(rng, branchings, ids=None):
     )
 
 
+def _table(args, **kwargs):
+    """The kernel's kept table, after checking its (value, mask) against it."""
+    value, mask, table = _kernels.enumerate_rules(*args, keep_table=True, **kwargs)
+    assert table.shape == (1 << args[4],) and table.dtype == np.float64
+    # the best value and the largest mask that reaches it
+    assert value == table.max() and mask == len(table) - 1 - np.argmax(table[::-1])
+    return table
+
+
 @st.composite
 def tree_layouts(draw):
     """Branchings of 1-4 levels, each 1-3, with at most 12 interior nodes."""
@@ -67,6 +76,25 @@ def tree_layouts(draw):
     return branchings
 
 
+def _interior_branchings(levels, low, high):
+    """Every list of interior branchings (each 1-3, at most ``levels``) with low..high interior nodes."""
+    found = []
+
+    def extend(branchings, width, n_interior):
+        if low <= n_interior <= high:
+            found.append(branchings)
+        for b in (1, 2, 3):
+            if len(branchings) < levels and n_interior + width * b <= high:
+                extend([*branchings, b], width * b, n_interior + width * b)
+
+    extend([], 1, 1)
+    return found
+
+
+#: 15-17 interior nodes: two to eight blocks of 2^14 rules
+MULTI_BLOCK_LAYOUTS = _interior_branchings(5, 15, 17)
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(branchings=tree_layouts(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_enumeration_matches_the_path_loop_on_every_mask(branchings, data, seed):
@@ -74,19 +102,60 @@ def test_enumeration_matches_the_path_loop_on_every_mask(branchings, data, seed)
     assert n_interior <= 12
     ids = data.draw(st.permutations(range(n_interior)))
     args = _random_inputs(np.random.default_rng(seed), branchings, ids)
-    values = _kernels.enumerate_rules(*args)
-    assert values.shape == (1 << n_interior,) and values.dtype == np.float64
-    np.testing.assert_allclose(values, _path_loop_enumeration(*args), rtol=0, atol=1e-12)
+    table = _table(args)
+    np.testing.assert_allclose(table, _path_loop_enumeration(*args), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(branchings=tree_layouts(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_enumeration_does_not_depend_on_the_block_size(branchings, data, seed):
+    """Blocks of 2^1 .. 2^n masks give the single block's table and best rule bit for bit."""
+    n_interior = _layout(branchings)[1]
+    ids = data.draw(st.permutations(range(n_interior)))
+    args = _random_inputs(np.random.default_rng(seed), branchings, ids)
+    whole = _kernels.enumerate_rules(*args, keep_table=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "BLOCK_BITS", data.draw(st.integers(1, n_interior)))
+        blocks = _kernels.enumerate_rules(*args, keep_table=True)
+    assert blocks[:2] == whole[:2] and np.array_equal(blocks[2], whole[2])
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(
+    interior=st.sampled_from(MULTI_BLOCK_LAYOUTS),
+    leaves=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_enumeration_across_blocks_matches_the_path_loop(interior, leaves, data, seed):
+    branchings = [*interior, leaves]
+    n_interior = _layout(branchings)[1]
+    assert 15 <= n_interior <= 17 and n_interior > _kernels.BLOCK_BITS
+    ids = data.draw(st.permutations(range(n_interior)))
+    args = _random_inputs(np.random.default_rng(seed), branchings, ids)
+    table = _table(args)
+    np.testing.assert_allclose(table, _path_loop_enumeration(*args), rtol=0, atol=1e-12)
+    assert _kernels.enumerate_rules(*args)[:2] == _kernels.enumerate_rules(*args, keep_table=True)[:2]
+
+
+def test_every_rule_ties_across_every_block_when_all_rewards_are_zero():
+    path_nodes, n_interior = _layout([1, 2, 2, 1, 2, 2])
+    n_paths = len(path_nodes)
+    zeros = np.zeros(path_nodes.shape)
+    args = (path_nodes, zeros, zeros[:, 0], np.full(n_paths, 1 / n_paths), n_interior)
+    assert n_interior == 20 and _kernels.BLOCK_BITS < n_interior
+    value, mask, table = _kernels.enumerate_rules(*args)
+    assert (value, mask, table) == (0.0, (1 << n_interior) - 1, None)
 
 
 def test_enumeration_matches_the_path_loop_at_the_oracle_cap_shape():
     args = _random_inputs(np.random.default_rng(20), [1, 2, 2, 1, 2, 2])
     assert args[4] == 20
-    values = _kernels.enumerate_rules(*args)
+    table = _table(args)
     reference = _path_loop_enumeration(*args)
-    np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table, reference, rtol=0, atol=1e-12)
     # the oracle's tie-break: the largest mask among the maximal values
-    assert np.argmax(values[::-1]) == np.argmax(reference[::-1])
+    assert np.argmax(table[::-1]) == np.argmax(reference[::-1])
 
 
 @pytest.mark.parametrize(
@@ -125,8 +194,7 @@ def test_numpy_enumeration_matches_explicit_loop():
     rng = np.random.default_rng(0)
     args = _toy_enumeration_inputs(rng)
     path_nodes, reward_stop, reward_leaf, probs, n_interior = args
-    values = _kernels.enumerate_rules(*args)
-    assert values.shape == (1 << n_interior,)
+    values = _table(args)
     for mask in rng.integers(0, 1 << n_interior, size=20):
         total = 0.0
         for p in range(len(probs)):

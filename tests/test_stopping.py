@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,26 @@ def test_brute_force_below_a_node_with_branching_one():
     expected = [continue_value, cum[1][0] + h[1][0], h[0][0], h[0][0]]
     np.testing.assert_allclose(cert.all_values, expected, rtol=0, atol=1e-12)
     assert cert.value == pytest.approx(float(sol.y[0][0]), abs=1e-10)
+
+
+def test_the_oracle_without_its_table_allocates_under_one_mib():
+    """At the 20-node cap the whole table would be 8 MiB; the blocks need a fraction of one."""
+    # flat on [0, 1] and [3, 4]: branchings 1, 2, 2, 1, 2, 2, the oracle-cap layout
+    comp = CompensatorSpec.piecewise([0.0, 1.0, 3.0, 4.0, 6.0], [0.0, 0.0, 1.2, 1.2, 2.4], [[1.0]] * 5)
+    tree = build_tree(TimeGrid.uniform(6, 6.0), MarkSet(("e1",)), comp, n_brownian=1)
+    rng = np.random.default_rng(3)
+    xi = rng.normal(size=tree.n_leaves)
+    gen = GeneratorSpec(xi=xi, h=[rng.normal(size=tree.level_size(k)) for k in range(6)] + [xi])
+    eta = reward_process(tree, gen)
+    tracemalloc.start()
+    try:
+        cert = brute_force_value(tree, eta, keep_table=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.n_interior == 20 and cert.all_values is None
+    assert peak < 1 << 20, peak
+    assert cert.value == brute_force_value(tree, eta).value
 
 
 def test_enumeration_cap():
