@@ -58,7 +58,6 @@ from .rbsde import (
     solve_via_snell,
 )
 from .snell import (
-    SnellDecomposition,
     doob_meyer,
     envelope_jump_support,
     snell_envelope,

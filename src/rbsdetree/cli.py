@@ -1,8 +1,8 @@
 """Command-line entry point: config ingestion, orchestration, persistence.
 
 Verbs: solve, oracle, simulate, norms, verify.  ``solve`` runs the configured
-mode (given, picard, or mpp-only: the given mode on a jump-only tree, with no
-Z) through the one reflected solver.  Configuration is a YAML file; results
+mode (given, picard, or mpp-only: the given mode on a jump-only tree, where
+Z = 0) through the one reflected solver.  Configuration is a YAML file; results
 are a summary JSON record plus CSV node tables in the output directory.  Exit
 codes: 0 all checks pass, 1 a check failed, 2 the configuration is invalid:
 a field is malformed or unknown, the problem data, the norm weights or a
@@ -350,8 +350,14 @@ def build_problem(cfg: RunConfig):
 
     ConfigInvalid names the field whose node values are not finite (payoff,
     barrier, an f or g offset), a barrier above the payoff at a leaf, and
-    weights e^{beta A_T + gamma T} that overflow.
+    weights e^{beta A_T + gamma T} that overflow.  A tree has a node per
+    level at least, so a step count past both the budget and the default
+    budget is refused before its time grid is made.
     """
+    if cfg.n_steps + 1 > max(cfg.budget, DEFAULT_NODE_BUDGET):
+        raise ConfigInvalid("generator.budget",
+                            f"a {cfg.n_steps}-step tree needs at least {cfg.n_steps + 1} nodes, one per level; "
+                            f"budget is {cfg.budget}")
     try:
         tree = build_tree(
             TimeGrid.uniform(cfg.n_steps, cfg.horizon),
@@ -447,8 +453,7 @@ def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch, memo: dict) ->
         keys[:2, cols] = [[k], [tree.grid.times[k]]]
         keys[2:6, cols] = tree.w[k][rows], tree.n_jumps[k][rows], sol.y[k][rows], gen.h[k][rows]
         if k < tree.n_steps:
-            if sol.z is not None:
-                keys[6, cols] = sol.z[k][rows]
+            keys[6, cols] = sol.z[k][rows]
             keys[7:7 + m, cols] = sol.u[k][rows].T
             keys[7 + m:, cols] = sol.dk[k][rows], sol.k_cum[k][rows], sol.residual[k][rows]
         else:
@@ -549,10 +554,10 @@ def run_checks(tree, sol, spec: GeneratorSpec, beta: float):
             "max_mismatch_vs_representation": eq.max_mismatch_vs_representation,
         },
     }
-    y, dec, eta = solve_via_snell(tree, spec)
+    y, envelope, dk, eta = solve_via_snell(tree, spec)
     gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
-    support = envelope_jump_support(tree, dec, eta)
-    del y, dec  # the route's Y, envelope and push, freed before the majorant builds its own
+    support = envelope_jump_support(tree, envelope, dk, eta)
+    del y, envelope, dk  # the route's Y, envelope and push, freed before the majorant builds its own
     checks["route_equivalence"] = {"passed": bool(gap <= 1e-10), "max_gap": gap}
     checks["push_only_on_contact"] = {
         "passed": not support,
@@ -614,14 +619,15 @@ def run_stopping(tree, spec: GeneratorSpec, sol, eta, epsilons, oracle: bool) ->
 def norm_table(tree, sol, beta: float, gamma: float) -> dict:
     """Squared weighted norms of Y (compensator clock, Lebesgue clock and both), U and Z.
 
-    ConfigInvalid names ``beta`` or ``gamma`` (as ``build_problem`` does for
-    the weight) and the norm's key if a norm overflows.
+    Z is zero on a jump-only tree and is not reported there.  ConfigInvalid
+    names ``beta`` or ``gamma`` (as ``build_problem`` does for the weight)
+    and the norm's key if a norm overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is named below
         y_a, y_w = (norm_sq(tree, sol.y, WeightedNorm(kind, beta, gamma)) for kind in "AW")
         table = {"Y_A": y_a, "Y_W": y_w, "Y_A_plus_lambda": y_a + y_w,
                  "U_p": norm_sq(tree, sol.u, WeightedNorm("p", beta, gamma))}
-        if sol.z is not None:
+        if tree.n_brownian == 2:
             table["Z_W"] = norm_sq(tree, sol.z, WeightedNorm("W", beta, gamma))
     for key, value in table.items():
         if not math.isfinite(value):
@@ -776,10 +782,9 @@ def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
     table = norm_table(run.tree, run.sol, cfg.beta, cfg.gamma)
     # In picard mode the configured spec is state-dependent; ``spec`` carries
     # the f that the final iterate solves with.
-    f_levels, _ = run.spec.given_levels(run.tree)
     bound = None
     if cfg.beta > 0:
-        lhs, rhs, excess = cauchy_weight_bound(run.tree, f_levels, cfg.beta)
+        lhs, rhs, excess = cauchy_weight_bound(run.tree, run.spec.f_levels, cfg.beta)
         bound = {"lhs": lhs, "rhs": rhs, "passed": bool(excess <= 1e-12)}
     summary = {
         "config": cfg.echo(),

@@ -10,12 +10,17 @@ class NonMonotoneCompensator(RbsdeTreeError):
 
 
 class BudgetExceeded(RbsdeTreeError):
-    """Tree construction would exceed the configured node budget."""
+    """Tree construction would exceed the configured node budget.
 
-    def __init__(self, required: int, budget: int):
+    ``required`` counts the nodes of levels 0 to ``level``, where counting
+    stopped: the whole tree when ``level`` is the last, else a lower bound.
+    """
+
+    def __init__(self, required: int, budget: int, level: int, n_steps: int):
         self.required = required
         self.budget = budget
-        super().__init__(f"tree needs {required} nodes, budget is {budget}")
+        part = "" if level == n_steps else f" in its first {level + 1} of {n_steps + 1} levels"
+        super().__init__(f"tree needs {required} nodes{part}, budget is {budget}")
 
 
 class NotSupermartingale(RbsdeTreeError):

@@ -155,16 +155,17 @@ def build_tree(
     m = marks.size
     da = comp.increments(grid.times)
     jump_prob = -np.expm1(-da)
-    phi = comp.kernel_on_grid(grid.times, m)
-    steps = grid.steps
 
-    # Budget check before allocating anything, in Python ints (no overflow).
+    # Budget check before the kernel is evaluated, in Python ints, up to the
+    # first level past the budget: the counts stay small whatever the depth.
     total = size = 1
     for k in range(grid.n_steps):
         size *= n_brownian * (1 + m) if jump_prob[k] > 0 else n_brownian
         total += size
-    if total > budget:
-        raise BudgetExceeded(required=total, budget=budget)
+        if total > budget:
+            raise BudgetExceeded(required=total, budget=budget, level=k + 1, n_steps=grid.n_steps)
+    phi = comp.kernel_on_grid(grid.times, m)
+    steps = grid.steps
 
     # Each Brownian move (weight w = 1/n_brownian) over the level's jump outcomes:
     # no jump (1 - q), then mark e (q phi_k(e)).  w is 1 or 1/2, so w (q phi)

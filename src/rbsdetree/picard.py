@@ -4,7 +4,7 @@ Each sweep evaluates the generators at the previous iterate, solves the
 resulting known-generator reflected equation, and measures the move in the
 composite weighted norm; the map contracts once the weight exponents clear
 the Lipschitz thresholds.  A point of the iteration is the solver's own
-integrands-only ``RbsdeSolution`` (Y, U, Z), with Z None on a jump-only tree.
+integrands-only ``RbsdeSolution`` (Y, U, Z), with Z zero on a jump-only tree.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ def select_contraction_parameters(
 
 
 def _zero_point(tree: ScenarioTree) -> RbsdeSolution:
-    """The start point (0, 0, 0): an integrands-only solution, Z None on a jump-only tree."""
+    """The start point (0, 0, 0): an integrands-only solution."""
     y = [np.zeros(tree.level_size(k)) for k in range(tree.n_steps + 1)]
     u = [np.zeros((tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)]
-    return RbsdeSolution(y=y, u=u, z=[np.zeros_like(x) for x in y[:-1]] if tree.n_brownian == 2 else None)
+    return RbsdeSolution(y=y, u=u, z=[np.zeros_like(x) for x in y[:-1]])
 
 
 def composite_distance(
@@ -106,12 +106,11 @@ def composite_distance(
     root_alpha = np.sqrt(cfg.alpha)
     dy = [t1.y[k] - t2.y[k] for k in range(tree.n_steps)]
     du = [t1.u[k] - t2.u[k] for k in range(tree.n_steps)]
+    dz = [t1.z[k] - t2.z[k] for k in range(tree.n_steps)]
     total = (lip.l_f / root_alpha) * norm_sq(tree, dy, WeightedNorm("A", b, g))
     total += (lip.l_g / root_alpha) * norm_sq(tree, dy, WeightedNorm("W", b, g))
     total += norm_sq(tree, du, WeightedNorm("p", b, g))
-    if t1.z is not None and t2.z is not None:
-        dz = [t1.z[k] - t2.z[k] for k in range(tree.n_steps)]
-        total += norm_sq(tree, dz, WeightedNorm("W", b, g))
+    total += norm_sq(tree, dz, WeightedNorm("W", b, g))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -136,12 +135,11 @@ class PicardTrace:
 
 
 def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: RbsdeSolution) -> GeneratorSpec:
-    f_levels, g_levels = gen.given_levels(tree)
+    f_levels, g_levels = gen.f_levels, gen.g_levels
     if gen.f_state is not None:
         f_levels = [gen.f_state(tree, k, point.y[k], point.u[k]) for k in range(tree.n_steps)]
     if gen.g_state is not None:
-        zk = point.z if point.z is not None else [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)]
-        g_levels = [gen.g_state(tree, k, point.y[k], zk[k]) for k in range(tree.n_steps)]
+        g_levels = [gen.g_state(tree, k, point.y[k], point.z[k]) for k in range(tree.n_steps)]
     return GeneratorSpec(
         xi=gen.xi,
         h=gen.h,

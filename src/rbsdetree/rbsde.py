@@ -4,7 +4,7 @@ The scheme is the explicit one-step reflection: Y_N = xi at the leaves, then
 backward Ytil_k = E[Y_{k+1} | node] + f_k dA_k + g_k dt_k, the push increment
 dK_k = (h_k - Ytil_k)^+ and Y_k = max(Ytil_k, h_k).  The integrands (Z, U)
 come from the one-step martingale representation of Y_{k+1}; a jump-only
-tree is the same equation with no Brownian moves, and so with no Z.
+tree is the same equation with no Brownian moves, and so with Z = 0.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ class GeneratorSpec:
     ``f_levels``/``g_levels`` hold given (state-independent) generator values
     per level; ``f_state``/``g_state`` hold state-dependent callables
     f(tree, k, y, u) and g(tree, k, y, z) used by the fixed-point solver.
-    A spec may carry both; the given form is what the one-pass solver reads.
+    A generator given in neither form is zero, filled in when the spec is
+    made, so levels are None only for a state-dependent generator; such a
+    spec goes through ``picard_solve``.  A spec may carry both forms; the
+    given one is what the one-pass solver reads.
     """
 
     xi: np.ndarray
@@ -51,26 +54,30 @@ class GeneratorSpec:
     g_state: Optional[Callable] = None
     lipschitz: LipschitzConstants = LipschitzConstants()
 
-    def given_levels(self, tree: ScenarioTree):
-        """Generator values per level, zero-filled where unspecified."""
-        zeros = [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)]
-        f = self.f_levels if self.f_levels is not None else zeros
-        g = self.g_levels if self.g_levels is not None else zeros
-        return f, g
+    def __post_init__(self):
+        if self.f_levels is None and self.f_state is None:
+            self.f_levels = [np.zeros(len(x)) for x in self.h[:-1]]
+        if self.g_levels is None and self.g_state is None:
+            self.g_levels = [np.zeros(len(x)) for x in self.h[:-1]]
 
-    def validate(self, tree: ScenarioTree, generators_only: bool = False):
-        """Shapes, finite values and h <= xi; ``generators_only``: f and g alone, for a Picard sweep."""
-        named = [("f_levels", self.f_levels), ("g_levels", self.g_levels)]
-        if not generators_only:
-            if len(self.xi) != tree.n_leaves:
-                raise ValueError("terminal payoff must be leaf-indexed")
-            if len(self.h) != tree.n_steps + 1:
-                raise ValueError("barrier must be defined on every level")
-            named = [("xi", [self.xi]), ("h", self.h)] + named
+    def validate(self, tree: ScenarioTree, data: bool = True, generators: bool = True):
+        """ValueError unless the ``data`` (shapes, finite values, h <= xi) and the ``generators`` hold.
+
+        f and g must be finite and known: no known-generator solve reads a state-dependent one.
+        """
+        if data and len(self.xi) != tree.n_leaves:
+            raise ValueError("terminal payoff must be leaf-indexed")
+        if data and len(self.h) != tree.n_steps + 1:
+            raise ValueError("barrier must be defined on every level")
+        named = [("xi", [self.xi]), ("h", self.h)] if data else []
+        if generators:
+            named += [("f_levels", self.f_levels), ("g_levels", self.g_levels)]
         for name, levels in named:
-            if levels is not None and not all(np.all(np.isfinite(x)) for x in levels):
+            if levels is None:
+                raise ValueError(f"generator {name[0]} is state-dependent; solve the spec with picard_solve")
+            if not all(np.isfinite(x).all() for x in levels):
                 raise ValueError(f"{name} has a non-finite value")
-        gap = -np.inf if generators_only else np.max(self.h[-1] - self.xi)
+        gap = np.max(self.h[-1] - self.xi) if data else -np.inf
         if gap > BARRIER_TOL:
             raise ValueError(f"barrier exceeds terminal payoff at a leaf by {gap:.3e}")
 
@@ -79,16 +86,16 @@ class GeneratorSpec:
 class RbsdeSolution:
     """Node-indexed solution processes of one reflected backward solve.
 
-    ``z`` is None on a jump-only tree.  ``dk[k]`` is the push increment decided
-    at level k; ``k_cum`` the accumulated push (K_0 = 0).  ``residual[k]`` is
-    the per-node L2 representation residual.  An integrands-only solve, a
+    ``z`` is +0.0 at every node of a jump-only tree.  ``dk[k]`` is the push
+    increment decided at level k; ``k_cum`` the accumulated push (K_0 = 0).
+    ``residual[k]`` is the per-node L2 representation residual.  An integrands-only solve, a
     point (Y, U, Z) of the Picard iteration, leaves those three None.
     ``y[N]`` is the spec's xi array itself.
     """
 
     y: NodeProcess
     u: NodeProcess
-    z: Optional[NodeProcess]
+    z: NodeProcess
     dk: Optional[NodeProcess] = None
     k_cum: Optional[NodeProcess] = None
     residual: Optional[NodeProcess] = None
@@ -112,14 +119,14 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, integrands_only, leaf=None)
         y[k] = np.maximum(ytil, h[k])
         u[k], z[k], residual[k] = rep.u, rep.z, rep.residual
         dk[k] = None if integrands_only else np.maximum(h[k] - ytil, 0.0)
-    sol = RbsdeSolution(y=y, u=u, z=z if tree.n_brownian == 2 else None)
+    sol = RbsdeSolution(y=y, u=u, z=z)
     return sol if integrands_only else replace(sol, dk=dk, k_cum=tree.path_sum(dk), residual=residual)
 
 
 def leaf_representation(tree: ScenarioTree, gen: GeneratorSpec) -> Representation:
     """Check xi and h, and represent Y_N = xi over the last step: the ``leaf``
     of every solve in a Picard loop."""
-    gen.validate(tree)
+    gen.validate(tree, generators=False)
     return extract_representation(tree, tree.n_steps - 1, gen.xi)
 
 
@@ -128,13 +135,12 @@ def solve_given_generators(
 ) -> RbsdeSolution:
     """Solve the reflected equation when f and g are known processes.
 
-    On a jump-only tree Z is None and g dt is a drift like any other.
+    On a jump-only tree Z is zero and g dt is a drift like any other.
     ``integrands_only`` returns Y, U and Z alone: what a fixed-point sweep reads.
     ``leaf`` is ``leaf_representation(tree, gen)``; xi and h are then not checked again.
     """
-    gen.validate(tree, generators_only=leaf is not None)
-    f_levels, g_levels = gen.given_levels(tree)
-    return _solve_backward(tree, f_levels, g_levels, gen.xi, gen.h, integrands_only, leaf)
+    gen.validate(tree, data=leaf is None)
+    return _solve_backward(tree, gen.f_levels, gen.g_levels, gen.xi, gen.h, integrands_only, leaf)
 
 
 def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:
@@ -146,8 +152,8 @@ def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:
 
 def reward_process(tree: ScenarioTree, gen: GeneratorSpec) -> NodeProcess:
     """The stopped-reward process: running gains plus barrier, payoff at T."""
-    f_levels, g_levels = gen.given_levels(tree)
-    return _stopped_reward(gen, running_gains(tree, f_levels, g_levels))
+    gen.validate(tree, data=False)
+    return _stopped_reward(gen, running_gains(tree, gen.f_levels, gen.g_levels))
 
 
 def _stopped_reward(gen: GeneratorSpec, cum: NodeProcess) -> NodeProcess:
@@ -158,19 +164,18 @@ def _stopped_reward(gen: GeneratorSpec, cum: NodeProcess) -> NodeProcess:
 
 
 def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
-    """Alternate route: envelope of the reward process plus its decomposition.
+    """Alternate route: the envelope R of the reward process eta and its push.
 
-    Returns (y, decomposition, eta); Y is the envelope minus the running
-    gains, K is the decomposition's increasing part (``dk``, ``k_cum``) and
-    eta the reward process (``reward_process``) whose envelope it is.
+    Returns (y, R, dk, eta): eta is ``reward_process``, dk the increments of
+    R's increasing part (``doob_meyer``; ``tree.path_sum(dk)`` is K) and Y
+    is R minus the running gains.
     """
     gen.validate(tree)
-    f_levels, g_levels = gen.given_levels(tree)
-    cum = running_gains(tree, f_levels, g_levels)
+    cum = running_gains(tree, gen.f_levels, gen.g_levels)
     eta = _stopped_reward(gen, cum)
     envelope = snell_envelope(tree, eta)
-    dec = doob_meyer(tree, envelope)
-    return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], dec, eta
+    dk = doob_meyer(tree, envelope)
+    return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], envelope, dk, eta
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,6 @@ def check_equation_residual(
     per branch; its conditional mean vanishes and its L2 norm under the child
     measure equals the representation residual tracked by the solver.
     """
-    f_levels, g_levels = gen.given_levels(tree)
     max_res = 0.0
     max_cmean = 0.0
     max_mismatch = 0.0
@@ -235,12 +239,11 @@ def check_equation_residual(
         mark = tree.branch_mark[k]
         q = tree.jump_prob[k] * tree.phi[k]
         dq = np.stack([(mark == e).astype(float) - q[e] for e in range(tree.n_marks)])
-        z = sol.z[k] if sol.z is not None else np.zeros(n_k)
         rhs = (
             ynext
-            + (f_levels[k] * tree.da[k] + g_levels[k] * tree.grid.steps[k] + sol.dk[k])[:, None]
+            + (gen.f_levels[k] * tree.da[k] + gen.g_levels[k] * tree.grid.steps[k] + sol.dk[k])[:, None]
             - sol.u[k] @ dq
-            - z[:, None] * tree.branch_dw[k][None, :]
+            - sol.z[k][:, None] * tree.branch_dw[k][None, :]
         )
         res = sol.y[k][:, None] - rhs
         max_res = max(max_res, float(np.max(np.abs(res))))
@@ -265,14 +268,13 @@ def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution
     Cauchy-Schwarz bound it certifies holds on any grid.  Returns the list of
     violating (level, node, lhs, rhs) tuples; empty means the bound holds.
     """
-    f_levels, g_levels = gen.given_levels(tree)
     a = tree.a_levels
     n = tree.n_steps
 
-    has_f = any(bool(np.any(f_levels[k] != 0)) for k in range(n))
-    f_sq = tree.path_sum(np.exp(beta * a[k + 1]) * f_levels[k] ** 2 * tree.da[k] for k in range(n))
+    has_f = any(bool(np.any(gen.f_levels[k] != 0)) for k in range(n))
+    f_sq = tree.path_sum(np.exp(beta * a[k + 1]) * gen.f_levels[k] ** 2 * tree.da[k] for k in range(n))
     g_abs = tree.path_sum(
-        np.exp(beta * a[k] / 2) * np.abs(g_levels[k]) * tree.grid.steps[k] for k in range(n)
+        np.exp(beta * a[k] / 2) * np.abs(gen.g_levels[k]) * tree.grid.steps[k] for k in range(n)
     )
     h_max = [np.exp(beta * a[0] / 2) * np.abs(gen.h[0])]
     for k in range(n):

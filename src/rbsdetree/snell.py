@@ -1,14 +1,12 @@
-"""Snell envelope, Doob-Meyer decomposition and jump-support diagnostics.
+"""Snell envelope, the increments of its increasing part, and where they sit.
 
 On the tree every increasing process is predictable one step ahead: the
-increment dK_k decided at a level-k node applies over (t_k, t_{k+1}].  The
-discrete decomposition therefore carries the whole of K as its "jump" part
-(K^c = 0); the continuous/discontinuous split has no separate content here.
+increment dK_k decided at a level-k node applies over (t_k, t_{k+1}], so
+K is all "jump" (K^c = 0).  ``doob_meyer`` returns the level list of dK;
+``tree.path_sum(dk)`` accumulates K.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +30,11 @@ def snell_envelope(tree: ScenarioTree, eta: NodeProcess) -> NodeProcess:
     return r
 
 
-@dataclass(frozen=True)
-class SnellDecomposition:
-    """Split R = M - K with M = R + K a martingale and K predictable nondecreasing.
+def doob_meyer(tree: ScenarioTree, r: NodeProcess) -> NodeProcess:
+    """The increments dK_k = R_k - E[R_{k+1} | node] >= 0 of K in R = M - K, one array per step.
 
-    ``dk[k]`` is the increment decided at level k (over (t_k, t_{k+1}]);
-    ``k_cum[k]`` the accumulated K at level k (K_0 = 0).
-    """
-
-    r: NodeProcess
-    k_cum: NodeProcess
-    dk: NodeProcess
-
-
-def doob_meyer(tree: ScenarioTree, r: NodeProcess) -> SnellDecomposition:
-    """Decompose a tree supermartingale into martingale minus increasing part.
-
-    dK_k = R_k - E[R_{k+1} | node] >= 0; raises NotSupermartingale if any
-    conditional increment of R is positive beyond tolerance.
+    R is a tree supermartingale and M = R + K a martingale; raises
+    NotSupermartingale if any conditional increment of R is positive beyond tolerance.
     """
     dk = []
     for k in range(tree.n_steps):
@@ -60,21 +45,20 @@ def doob_meyer(tree: ScenarioTree, r: NodeProcess) -> SnellDecomposition:
                 f"conditional increment +{-worst:.3e} at level {k} exceeds tolerance"
             )
         dk.append(np.maximum(drift, 0.0))
+    return dk
 
-    return SnellDecomposition(r=list(r), k_cum=tree.path_sum(dk), dk=dk)
 
-
-def envelope_jump_support(tree: ScenarioTree, dec: SnellDecomposition, eta: NodeProcess) -> list:
-    """Nodes where K increases while the envelope sits strictly above eta.
+def envelope_jump_support(tree: ScenarioTree, r: NodeProcess, dk: NodeProcess, eta: NodeProcess) -> list:
+    """Nodes where the envelope ``r`` of eta is pushed (``dk``) while it sits strictly above eta.
 
     Empty iff every node with dK > SUPPORT_TOL has R = eta there (the discrete
     form of K growing only on the contact set).  Each violation is reported
     as (level, node_index, dK, R - eta).
     """
     violations = []
-    for k, dk in enumerate(dec.dk):
-        gap = dec.r[k] - eta[k]
-        bad = (dk > SUPPORT_TOL) & (gap > SUPPORT_TOL)
+    for k, dk_k in enumerate(dk):
+        gap = r[k] - eta[k]
+        bad = (dk_k > SUPPORT_TOL) & (gap > SUPPORT_TOL)
         for i in np.flatnonzero(bad):
-            violations.append((k, int(i), float(dk[i]), float(gap[i])))
+            violations.append((k, int(i), float(dk_k[i]), float(gap[i])))
     return violations

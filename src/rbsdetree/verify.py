@@ -129,10 +129,11 @@ def criterion_route_equivalence(scale: str = "small"):
     for _ in range(n := _count(scale, 50)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         direct = solve_given_generators(tree, gen)
-        y, dec, _ = solve_via_snell(tree, gen)
+        y, _, dk, _ = solve_via_snell(tree, gen)
+        k_cum = tree.path_sum(dk)
         for k in range(tree.n_steps + 1):
             worst = max(worst, float(np.max(np.abs(direct.y[k] - y[k]))))
-            worst = max(worst, float(np.max(np.abs(direct.k_cum[k] - dec.k_cum[k]))))
+            worst = max(worst, float(np.max(np.abs(direct.k_cum[k] - k_cum[k]))))
     detail = f"max node-wise |direct - envelope route| = {worst:.3e} over {n} instances (tol 1e-10)"
     return worst <= 1e-10, detail
 
@@ -158,8 +159,7 @@ def criterion_picard(scale: str = "small"):
             if d1 > 1e-12:
                 worst_ratio = max(worst_ratio, d2 / d1)
         sol = trace.solution
-        ones = RbsdeSolution(y=[np.ones_like(x) for x in sol.y], u=[np.ones_like(x) for x in sol.u],
-                             z=None if sol.z is None else [np.ones_like(x) for x in sol.z])
+        ones = RbsdeSolution(*([np.ones_like(x) for x in process] for process in (sol.y, sol.u, sol.z)))
         other = picard_solve(tree, gen, cfg, init=ones).solution
         worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b))) for a, b in zip(sol.y, other.y)])
         bound = cfg.alpha + 0.05

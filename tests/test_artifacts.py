@@ -39,8 +39,7 @@ def reference_solution_csv(path: Path, tree, gen, sol):
                     repr(float(gen.h[k][i])),
                 ]
                 if interior:
-                    z = sol.z[k][i] if sol.z is not None else 0.0
-                    row.append(repr(float(z)))
+                    row.append(repr(float(sol.z[k][i])))
                     row.extend(repr(float(v)) for v in sol.u[k][i])
                     row.append(repr(float(sol.dk[k][i])))
                     row.append(repr(float(sol.k_cum[k][i])))
@@ -123,7 +122,7 @@ def test_picard_mode_matches_reference_writer(raw, chunk):
 @given(raw=configs("mpp-only"), chunk=chunks)
 def test_mpp_only_mode_matches_reference_writer(raw, chunk):
     new, ref, sol = _both_writers(raw, chunk)
-    assert sol.z is None
+    assert all(z.tobytes() == np.zeros_like(z).tobytes() for z in sol.z)  # +0.0 at every node
     assert new == ref
 
 
@@ -171,7 +170,7 @@ def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
     sol = RbsdeSolution(
         y=[signed_zeros(n) for n in sizes],
         u=[np.full((n, 2), 0.25) for n in sizes[:-1]],
-        z=None,
+        z=[np.zeros(n) for n in sizes[:-1]],
         dk=[signed_zeros(n) for n in sizes[:-1]],
         k_cum=[np.full(n, 1.5) for n in sizes],
         residual=[np.zeros(n) for n in sizes[:-1]],

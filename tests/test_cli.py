@@ -234,9 +234,9 @@ def test_stopping_verdicts_read_the_reward_process_of_the_cli(tmp_path, monkeypa
     real_snell, real_stopping = cli.solve_via_snell, cli.run_stopping
 
     def snell(tree, spec):
-        y, dec, eta = real_snell(tree, spec)
+        y, envelope, dk, eta = real_snell(tree, spec)
         handed.append(eta)
-        return y, dec, eta
+        return y, envelope, dk, eta
 
     def stopping(tree, spec, sol, eta, *args):
         assert eta is handed[0]
@@ -484,3 +484,14 @@ def test_generator_budget_below_the_tree_size_exits_2(tmp_path, capsys):
     code, err = _exit_and_error(tmp_path, capsys, raw)
     assert code == 0 and err == ""
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["tree"]["level_sizes"] == [1, 2]
+
+
+@pytest.mark.parametrize("n_steps", [2_000, 20_000, 1_000_000, 3_000_000])
+def test_a_huge_step_count_exits_2_with_a_short_message(tmp_path, capsys, n_steps):
+    """The level count stops at the first level past the budget, before the mark kernel is
+    evaluated; a count past the default budget is refused before its time grid is made."""
+    raw = yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())
+    raw["grid"]["n_steps"] = n_steps
+    code, err = _exit_and_error(tmp_path, capsys, raw)
+    assert code == 2 and "generator.budget" in err and "Traceback" not in err
+    assert len(err.strip()) < 200, err

@@ -9,9 +9,10 @@ same runs pass.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rbsdetree import _kernels
+from rbsdetree import _kernels, rbsde
 from rbsdetree.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -32,7 +33,33 @@ def _oracle_value_low(monkeypatch):
     monkeypatch.setattr(_kernels, "enumerate_rules", low)
 
 
-FAULTS = {"none": _no_fault, "oracle value 1e-9 low": _oracle_value_low}
+def _root_push_high(monkeypatch):
+    """The envelope route's push increment at the root is 1e-6 too large."""
+    doob_meyer = rbsde.doob_meyer
+
+    def high(*args):
+        dk = doob_meyer(*args)
+        return [dk[0] + 1e-6, *dk[1:]]
+
+    monkeypatch.setattr(rbsde, "doob_meyer", high)
+
+
+def _solver_f_zero(monkeypatch):
+    """The backward solver is handed zero f levels in place of the spec's."""
+    solve_backward = rbsde._solve_backward
+
+    def without_f(tree, f_levels, *args):
+        return solve_backward(tree, [np.zeros_like(f) for f in f_levels], *args)
+
+    monkeypatch.setattr(rbsde, "_solve_backward", without_f)
+
+
+FAULTS = {
+    "none": _no_fault,
+    "oracle value 1e-9 low": _oracle_value_low,
+    "root push 1e-6 high": _root_push_high,
+    "solver f zero": _solver_f_zero,
+}
 
 # (fault, verb, config, the verdicts that must be false); the oracle verb's one verdict is all_passed
 CASES = [
@@ -40,6 +67,9 @@ CASES = [
     ("none", "oracle", "mpp_only", set()),
     ("oracle value 1e-9 low", "solve", "mpp_only", {"stopping.oracle"}),
     ("oracle value 1e-9 low", "oracle", "mpp_only", {"all_passed"}),
+    ("root push 1e-6 high", "solve", "mpp_only", {"check.push_only_on_contact"}),
+    ("solver f zero", "solve", "mpp_only",
+     {"check.equation_residual", "check.route_equivalence", "stopping.first_contact", "stopping.oracle"}),
 ]
 
 

@@ -72,9 +72,7 @@ def test_contraction_rate_and_init_independence():
         ones = RbsdeSolution(
             y=[np.ones(tree.level_size(k)) for k in range(tree.n_steps + 1)],
             u=[np.ones((tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)],
-            z=None
-            if tree.n_brownian == 1
-            else [np.ones(tree.level_size(k)) for k in range(tree.n_steps)],
+            z=[np.ones(tree.level_size(k)) for k in range(tree.n_steps)],
         )
         other = picard_solve(tree, gen, cfg, init=ones)
         for k in range(tree.n_steps + 1):
@@ -198,9 +196,10 @@ def test_final_solution_is_the_full_solve_of_its_frozen_spec(seed, n_brownian):
     trace = picard_solve(tree, gen, cfg)
     direct = solve_given_generators(tree, trace.frozen_spec)
     sol = trace.solution
-    for name in ("y", "u", "dk", "k_cum", "residual"):
+    for name in ("y", "u", "z", "dk", "k_cum", "residual"):
         assert _same_bits(getattr(sol, name), getattr(direct, name)), name
-    assert sol.z is None if n_brownian == 1 else _same_bits(sol.z, direct.z)
+    if n_brownian == 1:
+        assert _same_bits(sol.z, [np.zeros(len(z)) for z in sol.z])
 
 
 @SWEEP_SETTINGS
@@ -233,7 +232,7 @@ def test_a_jump_only_sweep_solves_a_g_drift():
     g_state = lambda tree_, k, y, z: np.full(tree_.level_size(k), 0.1)  # noqa: E731
     trace = picard_solve(tree, replace(gen, g_state=g_state), cfg)
     assert all(np.array_equal(g, np.full(len(g), 0.1)) for g in trace.frozen_spec.g_levels)
-    assert trace.solution.z is None
+    assert _same_bits(trace.solution.z, [np.zeros(len(z)) for z in trace.solution.z])
     assert _same_bits(trace.solution.y, solve_given_generators(tree, trace.frozen_spec).y)
     without_g = picard_solve(tree, gen, cfg)
     assert trace.solution.y[0][0] != without_g.solution.y[0][0]

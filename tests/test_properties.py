@@ -1,6 +1,9 @@
 """Property tests of the core invariants over random small trees."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,31 +19,32 @@ from rbsdetree import (
     solve_via_snell,
     stop_levels,
 )
-from rbsdetree.instances import make_tree
+from rbsdetree.cli import norm_table
+from rbsdetree.instances import affine_generators, make_tree
 from rbsdetree.verify import filtration_gap, w_free_pair
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def trees(draw):
+def trees(draw, n_brownian=st.sampled_from([1, 2])):
     """Tree of 1-3 steps with 1-2 marks; rate 0 gives Brownian-only levels."""
     n_steps = draw(st.integers(1, 3))
     labels = ("a", "b")[: draw(st.integers(1, 2))]
     rate = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
-    n_brownian = draw(st.sampled_from([1, 2]))
+    n_brownian = draw(n_brownian)
     return make_tree(n_steps, 1.0, labels, rate=rate, n_brownian=n_brownian)
 
 
 @st.composite
-def problems(draw):
+def problems(draw, n_brownian=st.sampled_from([1, 2])):
     """Node-wise random payoff, barrier and generators on a random tree.
 
     The leaf barrier sits at or below the payoff; interior barrier levels are
     drawn on the payoff's scale so that reflection binds on many nodes.  A
     jump-only tree carries a g dt drift too.
     """
-    tree = draw(trees())
+    tree = draw(trees(n_brownian))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
     xi = rng.normal(size=tree.n_leaves)
@@ -70,10 +74,11 @@ def test_path_sum_is_the_sum_along_ancestors(tree, seed):
 def test_direct_and_envelope_routes_agree(problem):
     tree, gen = problem
     direct = solve_given_generators(tree, gen)
-    y, dec, _ = solve_via_snell(tree, gen)
+    y, _, dk, _ = solve_via_snell(tree, gen)
+    k_cum = tree.path_sum(dk)
     for k in range(tree.n_steps + 1):
         assert np.max(np.abs(direct.y[k] - y[k])) <= 1e-10
-        assert np.max(np.abs(direct.k_cum[k] - dec.k_cum[k])) <= 1e-10
+        assert np.max(np.abs(direct.k_cum[k] - k_cum[k])) <= 1e-10
 
 
 @SETTINGS
@@ -94,15 +99,14 @@ def test_minimal_push_conditions_hold(problem):
 def test_jump_only_solver_equals_general_solver(n_steps, n_marks, rate, seed):
     """With data free of W, the jump-only tree solves as the binomial tree with the same jumps."""
     pair = w_free_pair(np.random.default_rng(seed), n_steps, ("a", "b")[:n_marks], rate)
-    assert solve_given_generators(*pair[0]).z is None
+    assert not any(z.any() for z in solve_given_generators(*pair[0]).z)
     gap, z_max = filtration_gap(pair)
     assert gap <= 1e-12 and z_max <= 1e-12
 
 
 def _per_leaf_reward(tree, gen, rule):
     """Sum over leaves of the path's gains and stop reward at its first stop."""
-    f_levels, g_levels = gen.given_levels(tree)
-    cum = running_gains(tree, f_levels, g_levels)
+    cum = running_gains(tree, gen.f_levels, gen.g_levels)
     levels = stop_levels(tree, rule)
     total = 0.0
     for k in range(tree.n_steps + 1):
@@ -136,3 +140,49 @@ def test_rule_values_match_the_per_leaf_formulas(problem, seed, density):
     eta = reward_process(tree, gen)
     assert abs(reward_of_rule(tree, eta, rule) - _per_leaf_reward(tree, gen, rule)) <= 1e-12
     assert k_flatness_before_stop(tree, sol, rule) == _per_leaf_flatness(tree, sol, rule)
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@SETTINGS
+@given(problem=problems(), dropped=st.sampled_from(["f", "g", "fg"]))
+def test_an_absent_generator_solves_as_explicit_zero_levels(problem, dropped):
+    tree, gen = problem
+    explicit = replace(gen, **{f"{x}_levels": [np.zeros(len(h)) for h in gen.h[:-1]] for x in dropped})
+    absent = replace(gen, **{f"{x}_levels": None for x in dropped})
+    a, b = solve_given_generators(tree, absent), solve_given_generators(tree, explicit)
+    for name in ("y", "u", "z", "dk", "k_cum", "residual"):
+        assert _same_bits(getattr(a, name), getattr(b, name)), name
+
+
+@SETTINGS
+@given(problem=problems(n_brownian=st.just(1)))
+def test_z_is_positive_zero_at_every_node_of_a_jump_only_tree(problem):
+    tree, gen = problem
+    for sol in solve_given_generators(tree, gen), solve_given_generators(tree, gen, integrands_only=True):
+        assert len(sol.z) == tree.n_steps
+        assert _same_bits(sol.z, [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)])
+
+
+@SETTINGS
+@given(problem=problems(), beta=st.floats(0.0, 2.0), gamma=st.floats(0.0, 2.0))
+def test_norm_table_reports_z_iff_the_tree_has_brownian_branching(problem, beta, gamma):
+    tree, gen = problem
+    table = norm_table(tree, solve_given_generators(tree, gen), beta, gamma)
+    assert ("Z_W" in table) == (tree.n_brownian == 2)
+
+
+@SETTINGS
+@given(problem=problems(), state=st.sampled_from(["f", "g", "fg"]), offset=st.floats(-2.0, 2.0))
+def test_a_state_dependent_spec_raises_from_every_known_generator_entry_point(problem, state, offset):
+    tree, gen = problem
+    f_state, g_state, _ = affine_generators(0.2, 0.1, [1.0] * tree.n_marks, 0.1, 0.1,
+                                            f_offset=lambda t, k: offset, g_offset=lambda t, k: offset)
+    spec = replace(gen, f_levels=None, g_levels=None,
+                   f_state=f_state if "f" in state else None, g_state=g_state if "g" in state else None)
+    assert spec.f_levels is None if "f" in state else spec.f_levels is not None
+    for entry in solve_given_generators, solve_via_snell, reward_process:
+        with pytest.raises(ValueError, match=f"generator {state[0]} is state-dependent"):
+            entry(tree, spec)

@@ -27,7 +27,7 @@ def test_reflected_binomial_fixture():
 def test_jump_count_fixture():
     tree, gen = fixture_jump_count()
     sol = solve_given_generators(tree, gen)
-    assert sol.z is None  # a jump-only tree has no Brownian integrand
+    assert sol.z[0].tobytes() == np.zeros(1).tobytes()  # a jump-only tree's Brownian integrand is +0.0
     assert sol.y[0][0] == pytest.approx(0.5, abs=1e-12)
     assert sol.u[0][0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(sol.residual[0])) <= 1e-12
@@ -52,10 +52,11 @@ def test_route_equivalence_and_k_agreement():
     for _ in range(10):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         direct = solve_given_generators(tree, gen)
-        y, dec, eta = solve_via_snell(tree, gen)
+        y, _, dk, eta = solve_via_snell(tree, gen)
+        k_cum = tree.path_sum(dk)
         for k in range(tree.n_steps + 1):
             assert np.allclose(direct.y[k], y[k], atol=1e-10)
-            assert np.allclose(direct.k_cum[k], dec.k_cum[k], atol=1e-10)
+            assert np.allclose(direct.k_cum[k], k_cum[k], atol=1e-10)
         # the reward process it returns is the one ``reward_process`` builds, bit for bit
         assert all(a.tobytes() == b.tobytes() for a, b in zip(eta, reward_process(tree, gen), strict=True))
 
@@ -143,7 +144,7 @@ def test_mpp_only_constant_drift_integral():
     assert sol.y[0][0] == pytest.approx(c * 0.8, abs=1e-12)
     g_levels = [np.full(tree.level_size(k), d) for k in range(4)]
     sol = solve_given_generators(tree, GeneratorSpec(xi=xi, h=h, f_levels=gen.f_levels, g_levels=g_levels))
-    assert sol.z is None and sol.y[0][0] == pytest.approx(c * 0.8 + d * 1.0, abs=1e-12)
+    assert not any(z.any() for z in sol.z) and sol.y[0][0] == pytest.approx(c * 0.8 + d * 1.0, abs=1e-12)
 
 
 def test_barrier_dominant_push_absorbs_drift():

@@ -62,14 +62,15 @@ def test_doob_meyer_decomposition():
     rng = np.random.default_rng(3)
     eta = _random_eta(tree, rng)
     r = snell_envelope(tree, eta)
-    dec = doob_meyer(tree, r)
-    m = [r[k] + dec.k_cum[k] for k in range(tree.n_steps + 1)]
+    dk = doob_meyer(tree, r)
+    k_cum = tree.path_sum(dk)
+    m = [r[k] + k_cum[k] for k in range(tree.n_steps + 1)]
     for k in range(tree.n_steps):
-        assert np.all(dec.dk[k] >= 0)
+        assert np.all(dk[k] >= 0)
         # martingale property of M = R + K
         assert np.allclose(cexp_level(tree, k, m[k + 1]), m[k], atol=1e-12)
-        assert np.allclose(m[k] - dec.k_cum[k], r[k], atol=1e-14)
-    assert np.all(dec.k_cum[0] == 0.0)
+        assert np.allclose(m[k] - k_cum[k], r[k], atol=1e-14)
+    assert np.all(k_cum[0] == 0.0)
 
 
 def test_decomposition_uniqueness():
@@ -79,10 +80,10 @@ def test_decomposition_uniqueness():
     rng = np.random.default_rng(4)
     eta = _random_eta(tree, rng)
     r = snell_envelope(tree, eta)
-    dec = doob_meyer(tree, r)
+    dk = doob_meyer(tree, r)
     for k in range(tree.n_steps):
         drift = r[k] - cexp_level(tree, k, r[k + 1])
-        assert np.allclose(dec.dk[k], drift, atol=1e-14)
+        assert np.allclose(dk[k], drift, atol=1e-14)
 
 
 def test_not_supermartingale_raises():
@@ -98,16 +99,16 @@ def test_jump_support_clean_for_envelope_and_dirty_when_tampered():
     rng = np.random.default_rng(5)
     eta = _random_eta(tree, rng)
     r = snell_envelope(tree, eta)
-    dec = doob_meyer(tree, r)
-    assert envelope_jump_support(tree, dec, eta) == []
+    dk = doob_meyer(tree, r)
+    assert envelope_jump_support(tree, r, dk, eta) == []
     # tamper: inject push at a node strictly above eta
     k_bad = next(
-        (k for k in range(tree.n_steps) if np.any(dec.r[k] > eta[k] + 1e-6)), None
+        (k for k in range(tree.n_steps) if np.any(r[k] > eta[k] + 1e-6)), None
     )
     assert k_bad is not None
-    i_bad = int(np.argmax(dec.r[k_bad] - eta[k_bad]))
-    dec.dk[k_bad][i_bad] += 1.0
-    viols = envelope_jump_support(tree, dec, eta)
+    i_bad = int(np.argmax(r[k_bad] - eta[k_bad]))
+    dk[k_bad][i_bad] += 1.0
+    viols = envelope_jump_support(tree, r, dk, eta)
     assert any(v[0] == k_bad and v[1] == i_bad for v in viols)
 
 

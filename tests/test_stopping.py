@@ -113,7 +113,7 @@ def test_brute_force_below_a_node_with_branching_one():
     f = [rng.normal(size=tree.level_size(k)) for k in range(2)]
     gen = GeneratorSpec(xi=xi, h=h, f_levels=f)
     sol = solve_given_generators(tree, gen)
-    cum = running_gains(tree, *gen.given_levels(tree))
+    cum = running_gains(tree, gen.f_levels, gen.g_levels)
     cert = brute_force_value(tree, reward_process(tree, gen))
     assert cert.n_interior == 2
     continue_value = float(tree.prob[2] @ (cum[2] + xi))

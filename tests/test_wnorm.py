@@ -87,11 +87,12 @@ def test_monotone_in_beta_and_gamma_equivalence():
 
 
 def test_norm_table_integrates_y_against_both_clocks():
-    tree = make_tree(3, 1.0, ("a",), rate=0.9)
+    tree = make_tree(3, 1.0, ("a",), rate=0.9, n_brownian=1)
     rng = np.random.default_rng(2)
     y = _random_process(tree, rng)
     u = [x[:, None] for x in _random_process(tree, rng)]
-    table = norm_table(tree, SimpleNamespace(y=y, u=u, z=None), 0.8, 0.2)
+    z = [np.zeros(tree.level_size(k)) for k in range(tree.n_steps)]
+    table = norm_table(tree, SimpleNamespace(y=y, u=u, z=z), 0.8, 0.2)
     assert table["Y_A_plus_lambda"] == table["Y_A"] + table["Y_W"]
     # sum_k e^{beta A_k + gamma t_k} E[Y_k^2] (dA_k + dt_k), summed node by node
     direct = sum(
@@ -101,7 +102,7 @@ def test_norm_table_integrates_y_against_both_clocks():
         for k in range(tree.n_steps)
     )
     assert table["Y_A_plus_lambda"] == pytest.approx(direct, rel=1e-12)
-    assert "Z_W" not in table
+    assert "Z_W" not in table  # Z is zero on a jump-only tree and is not reported
 
 
 def test_cauchy_weight_bound_examples():
