@@ -44,11 +44,9 @@ from .picard import (
     select_contraction_parameters,
 )
 from .rbsde import (
-    EquationResidualReport,
     GeneratorSpec,
     LipschitzConstants,
     RbsdeSolution,
-    SkorohodReport,
     a_priori_majorant,
     check_equation_residual,
     check_skorohod,

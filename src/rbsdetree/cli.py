@@ -32,9 +32,11 @@ from .errors import BudgetExceeded, ConfigInvalid, EnumerationBudgetExceeded, Rb
 from .instances import affine_generators, linear_barrier, state_levels, terminal_payoff
 from .lattice import DEFAULT_NODE_BUDGET, ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
-from .picard import ContractionConfig, PicardTrace, picard_solve, select_contraction_parameters
+from .picard import RATE_SLACK, ContractionConfig, PicardTrace, gamma_terms, picard_solve
+from .picard import select_contraction_parameters
 from .rbsde import (
     BARRIER_TOL,
+    ROUTE_TOL,
     GeneratorSpec,
     RbsdeSolution,
     a_priori_majorant,
@@ -44,9 +46,11 @@ from .rbsde import (
     solve_given_generators,
     solve_via_snell,
 )
-from .snell import envelope_jump_support
+from .snell import SUPPORT_TOL, envelope_jump_support
 from .stopping import (
     ENUMERATION_CAP,
+    OPTIMAL_TOL,
+    VALUE_TOL,
     brute_force_value,
     epsilon_optimal_time,
     k_flatness_before_stop,
@@ -54,7 +58,7 @@ from .stopping import (
     smallest_optimal_time,
 )
 from .verify import format_report, run_all
-from .wnorm import WeightedNorm, cauchy_weight_bound, norm_sq
+from .wnorm import CAUCHY_TOL, WeightedNorm, cauchy_weight_bound, norm_sq
 
 # Not called here: one solver serves both filtrations, and perfbench/tracer.py wraps this name.
 from .rbsde import solve_given_generators as solve_mpp_only  # noqa: F401
@@ -538,27 +542,15 @@ def write_trace_csv(out_dir: Path, distances):
 # ---------------------------------------------------------------------------
 def run_checks(tree, sol, spec: GeneratorSpec, beta: float):
     """Every applicable check of ``sol``, which solves ``spec``, and the envelope route's stopped reward."""
-    sk = check_skorohod(tree, sol, spec.h)
-    eq = check_equation_residual(tree, sol, spec)
     checks = {
-        "minimal_push": {
-            "passed": bool(sk.passed),
-            "max_product": sk.max_product,
-            "max_negative_dk": sk.max_negative_dk,
-            "max_barrier_violation": sk.max_barrier_violation,
-        },
-        "equation_residual": {
-            "passed": bool(eq.max_conditional_mean <= 1e-10
-                           and eq.max_mismatch_vs_representation <= 1e-10),
-            "max_conditional_mean": eq.max_conditional_mean,
-            "max_mismatch_vs_representation": eq.max_mismatch_vs_representation,
-        },
+        "minimal_push": check_skorohod(tree, sol, spec.h),
+        "equation_residual": check_equation_residual(tree, sol, spec)[0],
     }
     y, envelope, dk, eta = solve_via_snell(tree, spec)
     gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
     support = envelope_jump_support(tree, envelope, dk, eta)
     del y, envelope, dk  # the route's Y, envelope and push, freed before the majorant builds its own
-    checks["route_equivalence"] = {"passed": bool(gap <= 1e-10), "max_gap": gap}
+    checks["route_equivalence"] = {"passed": bool(gap <= ROUTE_TOL), "max_gap": gap}
     checks["push_only_on_contact"] = {
         "passed": not support,
         "violations": [list(v) for v in support[:10]],
@@ -597,19 +589,19 @@ def run_stopping(tree, spec: GeneratorSpec, sol, eta, epsilons, oracle: bool) ->
         out[f"epsilon_{label}"] = {
             "reward": reward,
             "gap": y0 - reward,
-            "passed": bool(y0 <= reward + tol + 1e-12 and push <= 1e-12),
+            "passed": bool(y0 <= reward + tol + OPTIMAL_TOL and push <= SUPPORT_TOL),
             "push_before_stop": push,
         }
     star = smallest_optimal_time(tree, sol, spec.h)
     reward = reward_of_rule(tree, eta, star)
-    out["first_contact"] = {"reward": reward, "passed": bool(abs(y0 - reward) <= 1e-10)}
+    out["first_contact"] = {"reward": reward, "passed": bool(abs(y0 - reward) <= VALUE_TOL)}
     if oracle:
         try:
             cert = brute_force_value(tree, eta, keep_table=False)
             out["oracle"] = {
                 **_certificate_record(tree, cert),
                 "gap": y0 - cert.value,
-                "passed": bool(abs(y0 - cert.value) <= 1e-10),
+                "passed": bool(abs(y0 - cert.value) <= VALUE_TOL),
             }
         except EnumerationBudgetExceeded as exc:
             out["oracle"] = {"skipped": str(exc)}
@@ -661,13 +653,28 @@ class Solved(NamedTuple):
     trace: Optional[PicardTrace]
 
 
+def _contraction(tree: ScenarioTree, gen: GeneratorSpec, cfg: RunConfig) -> ContractionConfig:
+    """``select_contraction_parameters``, whose gamma is one above the sum of ``gamma_terms``.
+
+    Before any sweep, ConfigInvalid names the field of the larger term (``generator.gz`` or
+    ``generator.ga``) if gamma loses the one or overflows level N - 1's weight e^{beta A + gamma t}.
+    """
+    terms = gamma_terms(gen.lipschitz)
+    gamma = sum(terms) + 1.0
+    with np.errstate(over="ignore"):  # an infinite weight is named below
+        weight = np.exp(cfg.beta * tree.a_levels[-2] + gamma * tree.grid.times[-2])
+    if not (np.isfinite(weight) and gamma > sum(terms)):
+        raise ConfigInvalid("generator.gz" if terms[0] >= terms[1] else "generator.ga",
+                            f"gamma = {float(gamma)!r}, one above its Lipschitz threshold, is too large "
+                            "for the fixed-point weight e^(beta A + gamma t)")
+    return select_contraction_parameters(gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol)
+
+
 def _solve(cfg: RunConfig) -> Solved:
     """Build the configured problem and solve it in its mode."""
     tree, gen = build_problem(cfg)
     if cfg.mode == "picard":
-        contraction = select_contraction_parameters(
-            gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol
-        )
+        contraction = _contraction(tree, gen, cfg)
         trace = picard_solve(tree, gen, contraction)
         return Solved(tree, trace.solution, trace.frozen_spec, contraction, trace)
     return Solved(tree, solve_given_generators(tree, gen), gen, None, None)
@@ -693,9 +700,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "y0": float(sol.y[0][0]),
     }
     if trace is not None:
-        bound = contraction.alpha + 0.05
-        late = [r for d, r in zip(trace.distances[1:], trace.ratios[1:]) if d > 1e-12]
-        verdicts["picard.contraction_rate"] = all(r <= bound for r in late)
+        bound = contraction.alpha + RATE_SLACK
+        verdicts["picard.contraction_rate"] = all(r <= bound for r in trace.late_ratios)
         summary["contraction"] = {
             "alpha": contraction.alpha,
             "beta": contraction.beta,
@@ -739,7 +745,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
         "y0": y0,
         "certificate": {**_certificate_record(tree, cert), "n_rules": 1 << cert.n_interior},
         "gap": gap,
-        "all_passed": bool(gap <= 1e-10),
+        "all_passed": bool(gap <= VALUE_TOL),
     }
     return _finish(out_dir, summary, f"Y_0 = {y0!r}, oracle = {cert.value!r}, gap = {gap:.3e}")
 
@@ -785,7 +791,7 @@ def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
     bound = None
     if cfg.beta > 0:
         lhs, rhs, excess = cauchy_weight_bound(run.tree, run.spec.f_levels, cfg.beta)
-        bound = {"lhs": lhs, "rhs": rhs, "passed": bool(excess <= 1e-12)}
+        bound = {"lhs": lhs, "rhs": rhs, "passed": bool(excess <= CAUCHY_TOL)}
     summary = {
         "config": cfg.echo(),
         "norms": table,

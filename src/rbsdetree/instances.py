@@ -95,7 +95,8 @@ def linear_barrier(
     w: float = 0.0,
     n: float = 0.0,
     leaf_slack: float = 10.0,
-    xi: Optional[np.ndarray] = None,
+    *,
+    xi: np.ndarray,
 ):
     """Barrier base_k + w * W_k + n * N_k, capped at xi - leaf_slack at leaves.
 
@@ -106,8 +107,6 @@ def linear_barrier(
         base[k] + w * tree.w[k] + n * tree.n_jumps[k]
         for k in range(tree.n_steps + 1)
     ]
-    if xi is None:
-        xi = terminal_payoff(tree)
     h[-1] = np.minimum(h[-1], xi - leaf_slack)
     return h
 
@@ -134,7 +133,6 @@ def random_given_instance(
     n_brownian: int = 2,
     with_jumps: Optional[bool] = None,
     cross_terminal: bool = False,
-    max_interior: Optional[int] = None,
 ):
     """Random known-generator instance with an often-active barrier.
 
@@ -146,13 +144,6 @@ def random_given_instance(
         with_jumps = bool(rng.integers(0, 2))
     n_steps = int(rng.integers(1, max_steps + 1))
     rate = float(rng.uniform(0.3, 1.2)) if with_jumps else 0.0
-    if max_interior is not None:
-        while True:
-            b = n_brownian * (2 if rate > 0 else 1)
-            interior = sum(b**k for k in range(n_steps))
-            if interior <= max_interior:
-                break
-            n_steps -= 1
     tree = make_tree(n_steps, horizon=1.0, mark_labels=("e1",), rate=rate, n_brownian=n_brownian)
 
     xi = terminal_payoff(
@@ -188,8 +179,7 @@ def random_oracle_instance(rng):
 
 def random_picard_instance(rng, n_brownian: int = 2, max_lip: float = 0.5):
     """Random affine state-dependent instance with certified constants."""
-    tree, base = random_given_instance(rng, max_steps=3, n_brownian=n_brownian,
-                                       with_jumps=True, max_interior=64)
+    tree, base = random_given_instance(rng, max_steps=3, n_brownian=n_brownian, with_jumps=True)
     fa = float(rng.uniform(-max_lip, max_lip))
     fb = float(rng.uniform(-max_lip, max_lip))
     ga = float(rng.uniform(-max_lip, max_lip)) if n_brownian == 2 else 0.0

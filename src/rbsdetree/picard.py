@@ -26,14 +26,16 @@ from .rbsde import solve_given_generators as solve_mpp_only  # noqa: F401
 from .wnorm import WeightedNorm, norm_sq
 
 ALPHA_MAX = 1.0 - 1e-9
+RATE_SLACK = 0.05  # how far a late ratio of successive distances may exceed alpha
 
 
 def _beta_requirement(lip: LipschitzConstants, alpha: float) -> float:
     return lip.l_u**2 / alpha + 2 * lip.l_f / np.sqrt(alpha)
 
 
-def _gamma_requirement(lip: LipschitzConstants, alpha: float) -> float:
-    return lip.l_z**2 / alpha + 2 * lip.l_g / np.sqrt(alpha)
+def gamma_terms(lip: LipschitzConstants, alpha: float = ALPHA_MAX) -> tuple:
+    """(L_Z^2/alpha, 2 L_g/sqrt(alpha)): gamma must exceed their sum."""
+    return lip.l_z**2 / alpha, 2 * lip.l_g / np.sqrt(alpha)
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class ContractionConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.beta <= _beta_requirement(self.lipschitz, self.alpha):
             raise BetaTooSmall(self.beta, _beta_requirement(self.lipschitz, self.alpha))
-        if self.gamma <= _gamma_requirement(self.lipschitz, self.alpha):
+        if self.gamma <= sum(gamma_terms(self.lipschitz, self.alpha)):
             raise ValueError("gamma below its Lipschitz threshold")
 
 
@@ -85,7 +87,7 @@ def select_contraction_parameters(
         else:
             lo = mid
     alpha = ALPHA_MAX
-    gamma = _gamma_requirement(lip, alpha) + 1.0
+    gamma = sum(gamma_terms(lip, alpha)) + 1.0
     return ContractionConfig(
         beta=beta, gamma=gamma, alpha=alpha, lipschitz=lip, max_iter=max_iter, tol=tol
     )
@@ -128,10 +130,10 @@ class PicardTrace:
     frozen_spec: GeneratorSpec
 
     @property
-    def ratios(self) -> list:
-        return [
-            d2 / d1 for d1, d2 in zip(self.distances, self.distances[1:]) if d1 > 0
-        ]
+    def late_ratios(self) -> list:
+        """The ratios d_{j+1}/d_j judged at alpha + RATE_SLACK: past the first, from d_j > 1e-12."""
+        d = self.distances
+        return [d2 / d1 for d1, d2 in zip(d[1:], d[2:]) if d1 > 1e-12]
 
 
 def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: RbsdeSolution) -> GeneratorSpec:

@@ -19,7 +19,9 @@ from .lattice import NodeProcess, Representation, ScenarioTree, cexp_level
 from .lattice import extract_representation, representation_integrands
 from .snell import doob_meyer, snell_envelope
 
-SKOROHOD_TOL = 1e-12
+SKOROHOD_TOL = 1e-12  # how far |Y - h| dK, -dK and h - Y may exceed zero
+EQUATION_TOL = 1e-10  # how far the residual's conditional mean and L2 norm may stray from 0 and the solver's
+ROUTE_TOL = 1e-10  # how far the direct solve and the envelope route may differ at a node
 BARRIER_TOL = 1e-12  # how far h may exceed xi at a leaf
 MAJORANT_TOL = 1e-10  # how far e^{beta A/2}|Y| may exceed the majorant
 
@@ -178,61 +180,32 @@ def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
     return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], envelope, dk, eta
 
 
-@dataclass(frozen=True)
-class SkorohodReport:
-    """Worst-node diagnostics for the minimal-push conditions."""
-
-    max_product: float
-    max_negative_dk: float
-    max_barrier_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_product <= SKOROHOD_TOL
-            and self.max_negative_dk <= SKOROHOD_TOL
-            and self.max_barrier_violation <= SKOROHOD_TOL
-        )
-
-
-def check_skorohod(tree: ScenarioTree, sol: RbsdeSolution, h: NodeProcess) -> SkorohodReport:
-    """Verify (Y - h) dK = 0 node-wise, dK >= 0 and Y >= h."""
-    max_product = 0.0
-    max_neg = 0.0
+def check_skorohod(tree: ScenarioTree, sol: RbsdeSolution, h: NodeProcess) -> dict:
+    """The ``minimal_push`` record: (Y - h) dK = 0 node-wise, dK >= 0 and Y >= h, each to SKOROHOD_TOL."""
+    max_product = max_neg = 0.0
     for k in range(tree.n_steps):
         max_product = max(max_product, float(np.max(np.abs((sol.y[k] - h[k]) * sol.dk[k]))))
         max_neg = max(max_neg, float(np.max(-sol.dk[k], initial=0.0)))
-    max_violation = max(
-        float(np.max(h[k] - sol.y[k])) for k in range(tree.n_steps + 1)
-    )
-    return SkorohodReport(
-        max_product=max_product,
-        max_negative_dk=max_neg,
-        max_barrier_violation=max(max_violation, 0.0),
-    )
+    max_violation = max(max(float(np.max(h[k] - sol.y[k])) for k in range(tree.n_steps + 1)), 0.0)
+    return {
+        "passed": all(x <= SKOROHOD_TOL for x in (max_product, max_neg, max_violation)),
+        "max_product": max_product,
+        "max_negative_dk": max_neg,
+        "max_barrier_violation": max_violation,
+    }
 
 
-@dataclass(frozen=True)
-class EquationResidualReport:
-    """Worst-node diagnostics of the per-branch backward-equation residual."""
-
-    max_branch_residual: float
-    max_conditional_mean: float
-    max_mismatch_vs_representation: float
-
-
-def check_equation_residual(
-    tree: ScenarioTree, sol: RbsdeSolution, gen: GeneratorSpec
-) -> EquationResidualReport:
+def check_equation_residual(tree: ScenarioTree, sol: RbsdeSolution, gen: GeneratorSpec) -> tuple:
     """Residual of the one-step equation on every child branch.
 
     residual = Y_k - [Y_{k+1} + f dA + g dt - sum_e U(e) dq - Z dW + dK]
     per branch; its conditional mean vanishes and its L2 norm under the child
     measure equals the representation residual tracked by the solver.
+    Returns the ``equation_residual`` record, judged at EQUATION_TOL, and the
+    largest per-branch residual.
     """
-    max_res = 0.0
-    max_cmean = 0.0
-    max_mismatch = 0.0
+    gen.validate(tree, data=False)
+    max_res = max_cmean = max_mismatch = 0.0
     for k in range(tree.n_steps):
         n_k, b = tree.level_size(k), tree.branching(k)
         ynext = sol.y[k + 1].reshape(n_k, b)
@@ -251,11 +224,12 @@ def check_equation_residual(
         max_cmean = max(max_cmean, float(np.max(np.abs(cmean))))
         l2 = np.sqrt(np.maximum(res**2 @ tree.branch_prob[k], 0.0))
         max_mismatch = max(max_mismatch, float(np.max(np.abs(l2 - sol.residual[k]))))
-    return EquationResidualReport(
-        max_branch_residual=max_res,
-        max_conditional_mean=max_cmean,
-        max_mismatch_vs_representation=max_mismatch,
-    )
+    record = {
+        "passed": bool(max_cmean <= EQUATION_TOL and max_mismatch <= EQUATION_TOL),
+        "max_conditional_mean": max_cmean,
+        "max_mismatch_vs_representation": max_mismatch,
+    }
+    return record, max_res
 
 
 def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution, beta: float) -> list:
@@ -268,6 +242,7 @@ def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution
     Cauchy-Schwarz bound it certifies holds on any grid.  Returns the list of
     violating (level, node, lhs, rhs) tuples; empty means the bound holds.
     """
+    gen.validate(tree, data=False)
     a = tree.a_levels
     n = tree.n_steps
 

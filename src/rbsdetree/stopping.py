@@ -26,6 +26,7 @@ from .rbsde import running_gains  # noqa: F401
 
 ENUMERATION_CAP = 20
 OPTIMAL_TOL = 1e-12  # a rule within this of the best value counts as optimal
+VALUE_TOL = 1e-10  # how far Y_0 may stray from first contact's value and from the oracle's
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,11 @@ from .instances import (
     state_levels,
     terminal_payoff,
 )
-from .picard import picard_solve, select_contraction_parameters
+from .picard import RATE_SLACK, picard_solve, select_contraction_parameters
 from .rbsde import (
+    EQUATION_TOL,
+    ROUTE_TOL,
+    SKOROHOD_TOL,
     GeneratorSpec,
     RbsdeSolution,
     check_equation_residual,
@@ -34,7 +37,10 @@ from .rbsde import (
     solve_given_generators,
     solve_via_snell,
 )
+from .snell import SUPPORT_TOL
 from .stopping import (
+    OPTIMAL_TOL,
+    VALUE_TOL,
     brute_force_value,
     epsilon_optimal_time,
     k_flatness_before_stop,
@@ -95,7 +101,7 @@ def criterion_oracle_equivalence(scale: str = "small"):
         sol = solve_given_generators(tree, gen)
         cert = brute_force_value(tree, reward_process(tree, gen), keep_table=False)
         worst = max(worst, abs(float(sol.y[0][0]) - cert.value))
-    return worst <= 1e-10, f"max |Y_0 - oracle| = {worst:.3e} over {n} instances (tol 1e-10)"
+    return worst <= VALUE_TOL, f"max |Y_0 - oracle| = {worst:.3e} over {n} instances (tol {VALUE_TOL:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +114,14 @@ def criterion_skorohod(scale: str = "small"):
     for _ in range(n := _count(scale, 50)):
         tree, gen = random_given_instance(rng, max_steps=4, cross_terminal=True)
         sol = solve_given_generators(tree, gen)
-        rep = check_skorohod(tree, sol, gen.h)
-        worst_prod = max(worst_prod, rep.max_product)
-        worst_neg = max(worst_neg, rep.max_negative_dk)
-        worst_bar = max(worst_bar, rep.max_barrier_violation)
-    ok = max(worst_prod, worst_neg, worst_bar) <= 1e-12
+        rec = check_skorohod(tree, sol, gen.h)
+        worst_prod = max(worst_prod, rec["max_product"])
+        worst_neg = max(worst_neg, rec["max_negative_dk"])
+        worst_bar = max(worst_bar, rec["max_barrier_violation"])
+    ok = max(worst_prod, worst_neg, worst_bar) <= SKOROHOD_TOL
     return ok, (
         f"max (Y-h)dK = {worst_prod:.3e}, max -dK = {worst_neg:.3e}, "
-        f"max h-Y = {worst_bar:.3e} (tol 1e-12) over {n} instances"
+        f"max h-Y = {worst_bar:.3e} (tol {SKOROHOD_TOL:g}) over {n} instances"
     )
 
 
@@ -134,8 +140,8 @@ def criterion_route_equivalence(scale: str = "small"):
         for k in range(tree.n_steps + 1):
             worst = max(worst, float(np.max(np.abs(direct.y[k] - y[k]))))
             worst = max(worst, float(np.max(np.abs(direct.k_cum[k] - k_cum[k]))))
-    detail = f"max node-wise |direct - envelope route| = {worst:.3e} over {n} instances (tol 1e-10)"
-    return worst <= 1e-10, detail
+    detail = f"max node-wise |direct - envelope route| = {worst:.3e} over {n} instances (tol {ROUTE_TOL:g})"
+    return worst <= ROUTE_TOL, detail
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +161,12 @@ def criterion_picard(scale: str = "small"):
         cfg = select_contraction_parameters(lip, beta, max_iter=40, tol=1e-9)
         trace = picard_solve(tree, gen, cfg)
         max_iters = max(max_iters, len(trace.distances))
-        for d1, d2 in zip(trace.distances[1:], trace.distances[2:]):
-            if d1 > 1e-12:
-                worst_ratio = max(worst_ratio, d2 / d1)
+        worst_ratio = max([worst_ratio, *trace.late_ratios])
         sol = trace.solution
         ones = RbsdeSolution(*([np.ones_like(x) for x in process] for process in (sol.y, sol.u, sol.z)))
         other = picard_solve(tree, gen, cfg, init=ones).solution
         worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b))) for a, b in zip(sol.y, other.y)])
-        bound = cfg.alpha + 0.05
+        bound = cfg.alpha + RATE_SLACK
     ok = worst_ratio <= bound and worst_gap <= 1e-8 and max_iters <= 40
     return ok, (
         f"max ratio = {worst_ratio:.4f} (bound {bound:.4f}), max iters = {max_iters}, "
@@ -187,10 +191,10 @@ def criterion_epsilon_optimality(scale: str = "small"):
             reward = reward_of_rule(tree, eta, rule)
             worst_gap = max(worst_gap, float(sol.y[0][0]) - reward - eps)
             worst_flat = max(worst_flat, k_flatness_before_stop(tree, sol, rule))
-    ok = worst_gap <= 1e-12 and worst_flat <= 1e-12
+    ok = worst_gap <= OPTIMAL_TOL and worst_flat <= SUPPORT_TOL
     return ok, (
         f"max Y_0 - reward - eps = {worst_gap:.3e}, "
-        f"max push before stop = {worst_flat:.3e} (tol 1e-12) "
+        f"max push before stop = {worst_flat:.3e} (tol {SUPPORT_TOL:g}) "
         f"over {n} instances x eps in {{0.1,0.01,0.001}}"
     )
 
@@ -216,9 +220,9 @@ def criterion_smallest_optimal(scale: str = "small"):
             other = rule_from_mask(tree, int(mask))
             if np.any(star_levels > stop_levels(tree, other)):
                 latest = False
-    ok = worst_value <= 1e-10 and latest
+    ok = worst_value <= VALUE_TOL and latest
     return ok, (
-        f"max |Y_0 - reward(first contact)| = {worst_value:.3e} (tol 1e-10), "
+        f"max |Y_0 - reward(first contact)| = {worst_value:.3e} (tol {VALUE_TOL:g}), "
         f"earliest among optimal rules: {latest}, over {n} instances"
     )
 
@@ -293,23 +297,21 @@ def criterion_representation(scale: str = "small"):
     for i in range(n := _count(scale, 12)):
         tree, gen = _separable_instance(rng, i % 3)
         sol = solve_given_generators(tree, gen)
-        rep = check_equation_residual(tree, sol, gen)
-        worst_sep = max(worst_sep, rep.max_branch_residual)
+        worst_sep = max(worst_sep, check_equation_residual(tree, sol, gen)[1])
 
     worst_cmean = 0.0
     peaks, predicted = [], []
     for n_steps in (4, 8):
         tree, gen = _cross_instance(n_steps)
         sol = solve_given_generators(tree, gen)
-        rep = check_equation_residual(tree, sol, gen)
-        worst_cmean = max(worst_cmean, rep.max_conditional_mean)
+        worst_cmean = max(worst_cmean, check_equation_residual(tree, sol, gen)[0]["max_conditional_mean"])
         peaks.append(max(float(np.max(r)) for r in sol.residual))
         predicted.append(_cross_peak_residual(n_steps))
     gap = max(abs(a - b) for a, b in zip(peaks, predicted))
-    ok = worst_sep <= 1e-12 and worst_cmean <= 1e-10 and gap <= 1e-12
+    ok = worst_sep <= 1e-12 and worst_cmean <= EQUATION_TOL and gap <= 1e-12
     return ok, (
         f"separable residual = {worst_sep:.3e} over {n} instances (tol 1e-12), cross-term conditional "
-        f"mean = {worst_cmean:.3e} (tol 1e-10), cross-term peak residual at N = 4, 8 = "
+        f"mean = {worst_cmean:.3e} (tol {EQUATION_TOL:g}), cross-term peak residual at N = 4, 8 = "
         f"{peaks[0]:.6f}, {peaks[1]:.6f}, predicted sqrt(dt q(1-q)) with q = 1 - e^(-{CROSS_RATE} dt) "
         f"= {predicted[0]:.6f}, {predicted[1]:.6f} (gap {gap:.1e}, tol 1e-12)"
     )

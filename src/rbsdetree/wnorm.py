@@ -15,6 +15,7 @@ from .errors import BetaZero
 from .lattice import NodeProcess, ScenarioTree, level_expectation
 
 KINDS = ("A", "p", "W")
+CAUCHY_TOL = 1e-12  # how far a path's lhs may exceed its rhs in ``cauchy_weight_bound``
 
 
 @dataclass(frozen=True)

@@ -216,10 +216,18 @@ OVERFLOW = {"const": 1.5e308, "t": 1.5e308}  # finite at t = 0, past the largest
         ("reflected_binomial", "norms", {"gamma": 1000}, "gamma", "e^(0.0 + 1000.0) overflows"),
         ("mpp_only", "oracle", {"grid": {"n_steps": 5}}, "grid.n_steps",
          "31 interior nodes exceeds the enumeration cap 20"),
+        # gamma is one above L_Z^2 + 2 L_g, and every sweep weighs level N - 1 by e^(beta A + gamma t)
+        *(("picard_affine", "solve", {"generator": {"gz": gz}}, "generator.gz", "gamma = ")
+          for gz in (35, 40, 50, 100)),
+        ("picard_affine", "solve", {"generator": {"gz": 1e8}}, "generator.gz", "gamma = 1.000000001e+16"),
+        ("picard_affine", "solve", {"generator": {"ga": 1e6}}, "generator.ga", "gamma = 2000001.0110000002"),
+        # one step: level 0's weight is 1 at any gamma, but gamma = L_Z^2 + 1 rounds back to L_Z^2
+        ("picard_affine", "solve", {"grid": {"n_steps": 1, "horizon": 1.0}, "generator": {"gz": 1e8}},
+         "generator.gz", "gamma = 1.000000001e+16"),
     ],
     ids=["slack-picard", "slack-oracle", "payoff-overflow", "barrier-overflow", "f-overflow-given",
          "f-overflow-picard", "g-overflow-picard", "f-overflow-norms", "beta-overflow", "gamma-overflow",
-         "oracle-over-cap"],
+         "oracle-over-cap", "gz-35", "gz-40", "gz-50", "gz-100", "gz-1e8", "ga-1e6", "gz-1e8-one-step"],
 )
 def test_bad_problem_data_exits_2_naming_the_field_before_any_solve(
     tmp_path, capsys, monkeypatch, name, verb, changes, fieldname, detail
@@ -325,3 +333,11 @@ def test_a_negative_slack_that_keeps_the_barrier_below_the_payoff_runs(tmp_path,
     raw = _shipped("reflected_binomial", barrier={"base": [0.5, -1.0], "leaf_slack": -1.0})
     assert main(["solve", "--config", _write(tmp_path, raw), "--out", str(tmp_path / "run")]) == 0
     assert "9/9 checks passed" in capsys.readouterr().out
+
+
+def test_a_large_gz_whose_fixed_point_weight_is_finite_still_solves(tmp_path, capsys):
+    config = _write(tmp_path, _shipped("picard_affine", generator={"gz": 30}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    assert "after 21 iterations; 8/8 checks passed" in capsys.readouterr().out

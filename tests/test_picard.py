@@ -55,8 +55,8 @@ def test_linear_fixed_point():
     cfg = select_contraction_parameters(gen.lipschitz, beta=0.7, tol=1e-13)
     trace = picard_solve(tree, gen, cfg)
     assert trace.solution.y[0][0] == pytest.approx(1.0 / 0.9, abs=1e-12)
-    assert check_skorohod(tree, trace.solution, gen.h).passed
-    assert check_equation_residual(tree, trace.solution, trace.frozen_spec).max_conditional_mean <= 1e-12
+    assert check_skorohod(tree, trace.solution, gen.h)["passed"]
+    assert check_equation_residual(tree, trace.solution, trace.frozen_spec)[0]["max_conditional_mean"] <= 1e-12
 
 
 def test_contraction_rate_and_init_independence():

@@ -86,7 +86,7 @@ def test_direct_and_envelope_routes_agree(problem):
 def test_minimal_push_conditions_hold(problem):
     tree, gen = problem
     report = check_skorohod(tree, solve_given_generators(tree, gen), gen.h)
-    assert report.passed, report
+    assert report["passed"], report
 
 
 @SETTINGS

@@ -11,7 +11,8 @@ from rbsdetree import (
     solve_given_generators,
     solve_via_snell,
 )
-from rbsdetree.instances import make_tree, random_given_instance
+from rbsdetree.instances import make_tree, random_given_instance, random_picard_instance
+from rbsdetree.picard import picard_solve, select_contraction_parameters
 from rbsdetree.verify import fixture_jump_count, fixture_reflected_binomial
 
 
@@ -40,7 +41,7 @@ def test_terminal_condition_and_barrier_dominance():
         sol = solve_given_generators(tree, gen)
         assert np.array_equal(sol.y[-1], gen.xi)
         rep = check_skorohod(tree, sol, gen.h)
-        assert rep.passed
+        assert rep["passed"]
         # reflected nodes carry Y == h bit-exactly
         for k in range(tree.n_steps):
             pushed = sol.dk[k] > 0
@@ -73,9 +74,9 @@ def test_equation_residual_report():
     rng = np.random.default_rng(2)
     tree, gen = random_given_instance(rng, max_steps=3, cross_terminal=True)
     sol = solve_given_generators(tree, gen)
-    rep = check_equation_residual(tree, sol, gen)
-    assert rep.max_conditional_mean <= 1e-12
-    assert rep.max_mismatch_vs_representation <= 1e-12
+    rep, _ = check_equation_residual(tree, sol, gen)
+    assert rep["max_conditional_mean"] <= 1e-12
+    assert rep["max_mismatch_vs_representation"] <= 1e-12
 
 
 def test_skorohod_detects_tampering():
@@ -88,7 +89,7 @@ def test_skorohod_detects_tampering():
     k = next(k for k in range(tree.n_steps) if np.any(sol.dk[k] > 1e-6))
     i = int(np.argmax(sol.dk[k]))
     sol.y[k][i] = gen.h[k][i] + 1.0  # now (Y - h) dK > 0 there
-    assert not check_skorohod(tree, sol, gen.h).passed
+    assert not check_skorohod(tree, sol, gen.h)["passed"]
 
 
 def test_majorant_holds_and_flags_inflated_solution():
@@ -183,3 +184,16 @@ def test_validate_rejects_non_finite_data(field):
     target[0] = np.nan
     with pytest.raises(ValueError, match=field):
         solve_given_generators(tree, GeneratorSpec(**data))
+
+
+@pytest.mark.parametrize("check", ["equation residual", "majorant"])
+def test_a_check_handed_a_state_dependent_spec_raises_the_named_error(check):
+    """Only a known-generator spec has f levels to check against; a configured picard spec has none."""
+    tree, gen = random_picard_instance(np.random.default_rng(0))
+    lip = gen.lipschitz
+    sol = picard_solve(tree, gen, select_contraction_parameters(lip, lip.l_u**2 + 2 * lip.l_f + 0.5)).solution
+    with pytest.raises(ValueError, match="generator f is state-dependent"):
+        if check == "majorant":
+            a_priori_majorant(tree, gen, sol, beta=1.0)
+        else:
+            check_equation_residual(tree, sol, gen)

@@ -1,18 +1,21 @@
 """Hash every artifact of a fixed corpus of ``rbsde-tree`` runs, or compare two such records.
 
 The corpus is every config verb (solve, oracle, norms, simulate) on each
-shipped config in ``configs/``, plus, for each seed given, every job of the
-benchmark pools in ``perfbench/workloads.py`` (loaded read-only, by path).
-Each run goes through ``rbsdetree.cli.main`` in this process, with the
-program imported from ``src/`` of the checkout that holds this file.  The
-record is JSON, ``{run: [exit code, {artifact: sha256}]}``.
+shipped config in ``configs/``, ``verify --scale small``, and, for each seed
+given, every job of the benchmark pools in ``perfbench/workloads.py`` (loaded
+read-only, by path).  Each run goes through ``rbsdetree.cli.main`` in this
+process, with the program imported from ``src/`` of the checkout that holds
+this file.  The record is JSON, ``{run: [exit code, {artifact: sha256}]}``;
+the ``verify:small`` run's artifacts are the lines of its report, keyed by
+criterion and hashed without their trailing timings.
 
     python3 tools/artifact_corpus.py corpus.json --seeds 1 2 7
     python3 tools/artifact_corpus.py --compare parent.json change.json
 
-To check that a change leaves every artifact as it was, write a record from
-each checkout and compare them; ``--compare`` prints each run whose exit code
-or artifact hashes differ and exits 1 if there is any.
+To check that a change leaves every artifact and every verdict as it was,
+write a record from each checkout and compare them; ``--compare`` prints each
+run whose exit code differs, or the artifacts (report lines) whose hashes do,
+and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -51,6 +55,17 @@ def _run(main, verb: str, config: Path, out: Path) -> list:
     return [code, hashes]
 
 
+def _verify(main) -> list:
+    """[exit code, {criterion: sha256 of its report line}] of ``verify --scale small``, timings stripped."""
+    report = io.StringIO()
+    with redirect_stdout(report), redirect_stderr(io.StringIO()):
+        code = main(["verify", "--scale", "small"])
+    lines = [re.sub(r" \(\d+\.\d+s\)$", "", line) for line in report.getvalue().splitlines()]
+    # "[PASS] name: detail"; the closing "n/10 criteria passed" line is its own key
+    return [code, {re.sub(r"^\[(PASS|FAIL)\] ", "", line).split(":")[0]: hashlib.sha256(line.encode()).hexdigest()
+                   for line in lines}]
+
+
 def corpus(seeds=(), work=None) -> dict:
     """The record of the shipped configs and of the pools for ``seeds``; runs write under ``work``."""
     if str(ROOT / "src") not in sys.path:
@@ -74,6 +89,7 @@ def corpus(seeds=(), work=None) -> dict:
             out = tmp / f"out{i}"
             out.mkdir()
             record[name] = _run(main, verb, config, out)
+        record["verify:small"] = _verify(main)
         return record
 
 
@@ -92,7 +108,12 @@ def main(argv=None) -> int:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         differ = compare(a, b)
         for name in differ:
-            print(f"{name}: {a.get(name)} != {b.get(name)}")
+            x, y = a.get(name), b.get(name)
+            if x is None or y is None or x[0] != y[0]:
+                print(f"{name}: {x} != {y}")
+            else:
+                print(f"{name}: " + ", ".join(sorted(k for k in x[1].keys() | y[1].keys()
+                                                     if x[1].get(k) != y[1].get(k))) + " differ")
         print(f"{len(differ)} of {len(a.keys() | b.keys())} runs differ")
         return 1 if differ else 0
     if args.out is None:
