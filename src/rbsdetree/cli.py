@@ -5,8 +5,9 @@ mode (given, picard, or mpp-only: the given mode on a jump-only tree, where
 Z = 0) through the one reflected solver.  Configuration is a YAML file; results
 are a summary JSON record plus CSV node tables in the output directory.  Exit
 codes: 0 all checks pass, 1 a check failed, 2 the configuration is invalid:
-a field is malformed or unknown, the problem data, the norm weights or a
-weighted norm overflow, or the output directory cannot be written.  A
+a field is malformed or unknown, the problem data, the norm weights, a
+weighted norm or a Picard distance overflow, or the output directory cannot
+be written.  A
 solve's checks read the one known-generator spec that its solution solves
 (in picard mode, the generators frozen at the last iterate), and its
 stopping checks the one stopped reward that the envelope route built from
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -402,10 +405,18 @@ def build_problem(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # Artifact persistence
 # ---------------------------------------------------------------------------
+def _new_file(path: Path):
+    """``path`` opened for writing as a new file.  An earlier file there is unlinked, not truncated
+    (10-15 ms on ext4 just after a large write) nor written through a link."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
 def write_summary(out_dir: Path, summary: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with _new_file(path) as fh:
+        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -444,10 +455,11 @@ def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch, memo: dict) ->
 
     A row's key is the bit pattern of its fields (level, t, w, n_jumps, y, h,
     z, u..., dk, k_cum, residual; zero where a leaf row is empty), which fix
-    all of its text but the node index.  Rows are grouped by a hash of their
-    key and every row is checked against its group's representative, any
-    member of the group; if any differs, every row of the batch counts as
-    distinct.  Only keys missing from ``memo`` are formatted.
+    all of its text but the node index.  Rows are grouped by a hash of the
+    fields that vary over the batch, and every row is checked against its
+    group's representative, any member of the group, on those fields; if
+    any differs, every row of the batch counts as distinct.  Only keys
+    missing from ``memo`` are formatted.
     """
     m = tree.n_marks
     keys = np.zeros((10 + m, sum(hi - lo for _, lo, hi in batch)))
@@ -467,6 +479,7 @@ def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch, memo: dict) ->
             heads += [f"{k},{q}" if q else f"{k},"] * (b - a)
             nodes += (_PADDED if q else _DIGITS)[a:b]
     bits = keys.view(np.uint64)
+    bits = bits[(bits != bits[:, :1]).any(axis=1)]  # a field constant over the batch tells no rows apart
     h = _row_hash(bits)
     order = h.argsort()
     starts = np.concatenate(([True], h[order[1:]] != h[order[:-1]]))
@@ -477,14 +490,15 @@ def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch, memo: dict) ->
     distinct = keys[:, first]
     names = np.ascontiguousarray(distinct.T).view(f"V{keys.itemsize * len(keys)}").ravel().tolist()
     fresh = [j for j, name in enumerate(names) if name not in memo]
-    new = distinct[:, fresh]
-    # t, w, y, h, z, u..., dk, k_cum, residual; a leaf row leaves all but k_cum empty.
-    text = np.array(_float_text(np.delete(new, (0, 3), axis=0).ravel()), dtype=object)
-    text = text.reshape(8 + m, len(fresh))
-    text[np.ix_([*range(4, 6 + m), 7 + m], np.flatnonzero(new[0] == tree.n_steps))] = ""
-    jumps = map(str, new[3].astype(np.int64).tolist())
-    fields = zip(text[0], text[1], jumps, *text[2:])
-    memo.update(zip([names[j] for j in fresh], [f",{','.join(row)}\r\n" for row in fields]))
+    if fresh:
+        new = distinct[:, fresh]
+        # t, w, y, h, z, u..., dk, k_cum, residual; a leaf row leaves all but k_cum empty.
+        text = np.array(_float_text(np.delete(new, (0, 3), axis=0).ravel()), dtype=object)
+        text = text.reshape(8 + m, len(fresh))
+        text[np.ix_([*range(4, 6 + m), 7 + m], np.flatnonzero(new[0] == tree.n_steps))] = ""
+        jumps = map(str, new[3].astype(np.int64).tolist())
+        fields = zip(text[0], text[1], jumps, *text[2:])
+        memo.update(zip([names[j] for j in fresh], [f",{','.join(row)}\r\n" for row in fields]))
     tails = np.array([memo[name] for name in names], dtype=object)
     out = [None] * (3 * len(nodes))
     out[0::3], out[1::3], out[2::3] = heads, nodes, tails[inverse].tolist()
@@ -507,13 +521,12 @@ def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, so
     Rows end in ``\\r\\n`` as ``csv.writer`` ends them; only the header, which
     holds the user's mark labels, goes through ``csv.writer`` for quoting.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "solution.csv"
     mark_cols = [f"u_{label}" for label in tree.marks.labels]
     sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
     starts = np.cumsum([0, *sizes]).tolist()
     memo = {}
-    with open(path, "w", newline="") as fh:
+    with _new_file(path) as fh:
         csv.writer(fh).writerow(
             ["level", "node", "t", "w", "n_jumps", "y", "h", "z", *mark_cols, "dk", "k_cum", "residual"]
         )
@@ -527,9 +540,8 @@ def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, so
 
 
 def write_trace_csv(out_dir: Path, distances):
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trace.csv"
-    with open(path, "w", newline="") as fh:
+    with _new_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "distance"])
         for i, d in enumerate(distances):
@@ -653,6 +665,12 @@ class Solved(NamedTuple):
     trace: Optional[PicardTrace]
 
 
+def _gamma_field(gen: GeneratorSpec) -> str:
+    """The field a too-large gamma names: that of the larger of its two ``gamma_terms``."""
+    terms = gamma_terms(gen.lipschitz)
+    return "generator.gz" if terms[0] >= terms[1] else "generator.ga"
+
+
 def _contraction(tree: ScenarioTree, gen: GeneratorSpec, cfg: RunConfig) -> ContractionConfig:
     """``select_contraction_parameters``, whose gamma is one above the sum of ``gamma_terms``.
 
@@ -664,18 +682,25 @@ def _contraction(tree: ScenarioTree, gen: GeneratorSpec, cfg: RunConfig) -> Cont
     with np.errstate(over="ignore"):  # an infinite weight is named below
         weight = np.exp(cfg.beta * tree.a_levels[-2] + gamma * tree.grid.times[-2])
     if not (np.isfinite(weight) and gamma > sum(terms)):
-        raise ConfigInvalid("generator.gz" if terms[0] >= terms[1] else "generator.ga",
+        raise ConfigInvalid(_gamma_field(gen),
                             f"gamma = {float(gamma)!r}, one above its Lipschitz threshold, is too large "
                             "for the fixed-point weight e^(beta A + gamma t)")
     return select_contraction_parameters(gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol)
 
 
 def _solve(cfg: RunConfig) -> Solved:
-    """Build the configured problem and solve it in its mode."""
+    """Build the configured problem and solve it in its mode.
+
+    In picard mode, ConfigInvalid names the field ``_contraction`` names if a Picard distance
+    is not finite: a finite weight near the largest float can still overflow one.
+    """
     tree, gen = build_problem(cfg)
     if cfg.mode == "picard":
         contraction = _contraction(tree, gen, cfg)
         trace = picard_solve(tree, gen, contraction)
+        if not np.all(np.isfinite(trace.distances)):
+            raise ConfigInvalid(_gamma_field(gen),
+                                f"gamma = {float(contraction.gamma)!r} overflows a weighted Picard distance")
         return Solved(tree, trace.solution, trace.frozen_spec, contraction, trace)
     return Solved(tree, solve_given_generators(tree, gen), gen, None, None)
 
@@ -847,7 +872,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt(3) parameter numbers
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Ask glibc, once per process, to keep freed memory: no block below 256 MiB gets its own
+    mmap, and the heap is trimmed only past 512 MiB free.  So one stage's freed arrays serve the
+    next without fresh page faults.  Does nothing where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows loads no library named None
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, 256 << 20)) and bool(mallopt(M_TRIM_THRESHOLD, 512 << 20))
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verb == "verify":

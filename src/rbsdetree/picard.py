@@ -103,16 +103,20 @@ def _zero_point(tree: ScenarioTree) -> RbsdeSolution:
 def composite_distance(
     tree: ScenarioTree, t1: RbsdeSolution, t2: RbsdeSolution, cfg: ContractionConfig
 ) -> float:
-    """Distance of two points (Y, U, Z) in the composite weighted norm of the contraction argument."""
+    """Distance of two points (Y, U, Z) in the composite weighted norm of the contraction argument.
+
+    One that overflows is inf or nan, with no warning; the caller rejects it.
+    """
     lip, b, g = cfg.lipschitz, cfg.beta, cfg.gamma
     root_alpha = np.sqrt(cfg.alpha)
     dy = [t1.y[k] - t2.y[k] for k in range(tree.n_steps)]
     du = [t1.u[k] - t2.u[k] for k in range(tree.n_steps)]
     dz = [t1.z[k] - t2.z[k] for k in range(tree.n_steps)]
-    total = (lip.l_f / root_alpha) * norm_sq(tree, dy, WeightedNorm("A", b, g))
-    total += (lip.l_g / root_alpha) * norm_sq(tree, dy, WeightedNorm("W", b, g))
-    total += norm_sq(tree, du, WeightedNorm("p", b, g))
-    total += norm_sq(tree, dz, WeightedNorm("W", b, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (lip.l_f / root_alpha) * norm_sq(tree, dy, WeightedNorm("A", b, g))
+        total += (lip.l_g / root_alpha) * norm_sq(tree, dy, WeightedNorm("W", b, g))
+        total += norm_sq(tree, du, WeightedNorm("p", b, g))
+        total += norm_sq(tree, dz, WeightedNorm("W", b, g))
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -147,8 +147,9 @@ def test_rows_whose_hashes_all_collide_match_reference_writer(raw, chunk):
 @SETTINGS
 @given(raw=configs("given") | configs("picard") | configs("mpp-only"), chunk=chunks)
 def test_rows_whose_hashes_collide_within_a_level_match_reference_writer(raw, chunk):
-    """With only the level hashed, a batch falls back when one of its levels has unequal rows."""
-    new, ref = _writers_with_row_hash(lambda bits: bits[0].copy(), raw, chunk)
+    """With only the first field that varies over a batch hashed (the level, where the batch
+    spans levels), a batch falls back when rows that share that field differ elsewhere."""
+    new, ref = _writers_with_row_hash(lambda bits: bits[:1].sum(axis=0, dtype=np.uint64), raw, chunk)
     assert new == ref
 
 
@@ -182,6 +183,71 @@ def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
         lines = new.decode().split("\r\n")
         assert lines[3].startswith("1,1,0.5,0.0,1,0.0,") and lines[4].startswith("1,2,0.5,0.0,1,-0.0,")
         assert lines[6].startswith("2,1,1.0,0.0,1,0.0,") and lines[7].startswith("2,2,1.0,0.0,1,-0.0,")
+
+
+def _flat_problem(sizes, **levels):
+    """A stand-in (tree, gen, sol) with ``sizes`` nodes per level and one mark.
+
+    Every node sits at w = 0 with no jump, and every field is the same at
+    every node of a level, except those given in ``levels`` (name -> one
+    array per level).
+    """
+    n = len(sizes) - 1
+    tree = SimpleNamespace(n_steps=n, n_marks=1, marks=SimpleNamespace(labels=("e1",)),
+                           grid=SimpleNamespace(times=np.linspace(0.0, 1.0, n + 1)),
+                           w=[np.zeros(s) for s in sizes], n_jumps=[np.zeros(s) for s in sizes],
+                           level_size=lambda k: sizes[k])
+    fields = {"y": [np.full(s, 0.5) for s in sizes], "z": [np.zeros(s) for s in sizes[:-1]],
+              "u": [np.full((s, 1), 0.25) for s in sizes[:-1]], "dk": [np.zeros(s) for s in sizes[:-1]],
+              "k_cum": [np.full(s, 1.5) for s in sizes], "residual": [np.zeros(s) for s in sizes[:-1]]}
+    fields.update(levels)
+    return tree, SimpleNamespace(h=[np.full(s, -1.0) for s in sizes]), SimpleNamespace(**fields)
+
+
+def _alternating(values, sizes, interior=True):
+    """One array per level, its nodes cycling through ``values``; the leaf level too unless ``interior``."""
+    return [np.resize(np.array(values), s) for s in (sizes[:-1] if interior else sizes)]
+
+
+@pytest.mark.parametrize("field, levels", [
+    ("k_cum", lambda sizes: _alternating([1.5, 2.5], sizes, interior=False)),
+    ("z", lambda sizes: _alternating([0.0, -0.0], sizes)),
+], ids=["only-k_cum", "only-the-sign-of-a-zero-z"])
+def test_rows_that_differ_only_in_one_field_match_reference_writer(field, levels):
+    """Within a level, rows differ only in ``field``; with 3 rows per batch, batch [3, 6) holds
+    level-1 rows alone, so every other field is constant over it."""
+    sizes = [1, 6, 6]
+    tree, gen, sol = _flat_problem(sizes, **{field: levels(sizes)})
+    for chunk in (None, 1, 3, 7):
+        new, ref = _writer_bytes(tree, gen, sol, chunk)
+        assert new == ref
+        level_1 = new.decode().split("\r\n")[2:8]
+        assert len({row.split(",", 2)[2] for row in level_1}) == 2  # after the node index, two rows
+
+
+def test_one_row_per_batch_matches_reference_writer():
+    """With one row per batch, every field of every batch is constant over it."""
+    for sizes in ([1, 6, 6], [1, 3, 9, 27]):
+        tree, gen, sol = _flat_problem(sizes, y=_alternating([0.5, -1.0, 0.0], sizes, interior=False))
+        new, ref = _writer_bytes(tree, gen, sol, 1)
+        assert new == ref
+    raw = {"grid": {"n_steps": 2, "horizon": 1.0}, "marks": ["e1", "e2"],
+           "compensator": {"type": "linear", "rate": 0.7}, "terminal": {"w": 1.0, "n": 0.5},
+           "barrier": {"base": 0.2}}
+    new, ref, _ = _both_writers(raw, 1)
+    assert new == ref
+
+
+def test_a_batch_with_no_fresh_rows_formats_nothing(monkeypatch):
+    """All rows of a level are alike, so with 3 rows per batch only batches [0, 3) (levels 0
+    and 1) and [6, 9) (level 2's first) hold a row the file has not formatted yet."""
+    formatted = []
+    real = cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda v: formatted.append(len(v)) or real(v))
+    tree, gen, sol = _flat_problem([1, 6, 6])
+    new, ref = _writer_bytes(tree, gen, sol, 3)
+    assert new == ref
+    assert formatted == [2 * 9, 9]  # 8 + n_marks float fields per distinct row
 
 
 def _leaf_rows(lo: int, hi: int):

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
+from rbsdetree import cli
 from rbsdetree.cli import build_problem, load_config, main, parse_config
 from rbsdetree.errors import ConfigInvalid
 
@@ -387,6 +391,78 @@ def test_an_artifact_path_taken_by_a_directory_exits_2(tmp_path, capsys, artifac
     err = capsys.readouterr().err
     assert code == 2 and "config error: --out: cannot write" in err and artifact in err
     assert not (out / "summary.json").is_file()
+
+
+ARTIFACTS = ("summary.json", "solution.csv", "trace.csv")
+
+
+def _solve_into(out: Path, config) -> dict:
+    """The artifacts, name -> bytes, of a ``solve`` of ``config`` into ``out``, which must exit 0."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ARTIFACTS if (out / name).exists()}
+
+
+def test_a_rerun_into_the_same_directory_gives_the_bytes_of_a_fresh_one(tmp_path):
+    config = CONFIGS / "picard_affine.yaml"
+    fresh = _solve_into(tmp_path / "fresh", config)
+    assert set(fresh) == set(ARTIFACTS)
+    _solve_into(tmp_path / "run", CONFIGS / "reflected_binomial.yaml")  # a larger solution.csv to replace
+    assert _solve_into(tmp_path / "run", config) == fresh
+
+
+def test_a_rerun_replaces_a_hard_linked_artifact_and_leaves_the_link(tmp_path):
+    out, kept = tmp_path / "run", tmp_path / "kept.csv"
+    first = _solve_into(out, CONFIGS / "reflected_binomial.yaml")["solution.csv"]
+    os.link(out / "solution.csv", kept)
+    second = _solve_into(out, CONFIGS / "picard_affine.yaml")["solution.csv"]
+    assert first != second
+    assert kept.read_bytes() == first and (out / "solution.csv").read_bytes() == second
+
+
+def test_a_rerun_replaces_a_symlinked_summary_and_leaves_its_target(tmp_path):
+    out, target = tmp_path / "run", tmp_path / "target.json"
+    target.write_text("{}\n")
+    out.mkdir()
+    (out / "summary.json").symlink_to(target)
+    fresh = _solve_into(tmp_path / "fresh", CONFIGS / "picard_affine.yaml")
+    assert _solve_into(out, CONFIGS / "picard_affine.yaml") == fresh
+    assert not (out / "summary.json").is_symlink() and target.read_text() == "{}\n"
+
+
+@pytest.fixture
+def allocator_call():
+    """``cli._keep_freed_memory`` as if this process had not called it yet."""
+    cli._keep_freed_memory.cache_clear()
+    yield
+    cli._keep_freed_memory.cache_clear()
+
+
+def _no_library(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize("fake_cdll", [_no_library, lambda name: SimpleNamespace()],
+                         ids=["no-library", "no-mallopt"])
+def test_a_c_library_without_mallopt_gives_the_same_artifacts(
+    tmp_path, monkeypatch, allocator_call, fake_cdll
+):
+    config = CONFIGS / "picard_affine.yaml"
+    expected = _solve_into(tmp_path / "expected", config)
+    cli._keep_freed_memory.cache_clear()
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    assert _solve_into(tmp_path / "run", config) == expected
+    assert cli._keep_freed_memory() is False
+
+
+def test_the_allocator_is_set_once_per_process(tmp_path, monkeypatch, allocator_call):
+    loads, calls = [], []
+    library = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: loads.append(name) or library)
+    for name in ("a", "b"):
+        _solve_into(tmp_path / name, CONFIGS / "picard_affine.yaml")
+    assert loads == [None]
+    assert calls == [(cli.M_MMAP_THRESHOLD, 256 << 20), (cli.M_TRIM_THRESHOLD, 512 << 20)]
 
 
 @pytest.mark.parametrize(

@@ -341,3 +341,20 @@ def test_a_large_gz_whose_fixed_point_weight_is_finite_still_solves(tmp_path, ca
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 0
     assert "after 21 iterations; 8/8 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gz, code", [(32.51, 0), (32.55, 2), (32.59, 2)])
+def test_a_picard_distance_that_overflows_exits_2_naming_gz(tmp_path, capsys, gz, code):
+    """Past gz = 32.51 the fixed-point weight is finite but a weighted distance overflows;
+    the run stops before any artifact, with no warning."""
+    config = _write(tmp_path, _shipped("picard_affine", generator={"gz": gz}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "after 20 iterations; 8/8 checks passed" in out and err == ""
+        assert "inf" not in (tmp_path / "run" / "trace.csv").read_text()
+    else:
+        assert err.startswith("config error: generator.gz: gamma = ") and "Picard distance" in err
+        assert not any((tmp_path / "run").iterdir())
