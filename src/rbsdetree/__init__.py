@@ -38,14 +38,15 @@ from .mpp import (
 )
 from .picard import (
     ContractionConfig,
+    LipschitzConstants,
     PicardTrace,
+    StateGenerators,
     composite_distance,
     picard_solve,
     select_contraction_parameters,
 )
 from .rbsde import (
     GeneratorSpec,
-    LipschitzConstants,
     RbsdeSolution,
     a_priori_majorant,
     check_equation_residual,

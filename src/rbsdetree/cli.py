@@ -35,8 +35,8 @@ from .errors import BudgetExceeded, ConfigInvalid, EnumerationBudgetExceeded, Rb
 from .instances import affine_generators, linear_barrier, state_levels, terminal_payoff
 from .lattice import DEFAULT_NODE_BUDGET, ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
-from .picard import RATE_SLACK, ContractionConfig, PicardTrace, gamma_terms, picard_solve
-from .picard import select_contraction_parameters
+from .picard import ALPHA_MAX, RATE_SLACK, ContractionConfig, LipschitzConstants, PicardTrace
+from .picard import StateGenerators, beta_requirement, gamma_terms, picard_solve, select_contraction_parameters
 from .rbsde import (
     BARRIER_TOL,
     ROUTE_TOL,
@@ -231,7 +231,7 @@ def parse_config(raw: dict) -> RunConfig:
     if family == "clipped-affine":
         if "clip" not in gen:
             raise ConfigInvalid("generator.clip", "clipped-affine family needs a clip bound")
-        affine["clip"] = _number(gen["clip"], "generator.clip")
+        affine["clip"] = _number(gen["clip"], "generator.clip", low=0.0)
     # Only the fixed-point solver reads a state-dependent family.
     if (mode == "picard") != (family != "given"):
         need = "an affine or clipped-affine" if mode == "picard" else "the given"
@@ -281,13 +281,14 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid("picard.tol", "must be > 0")
     if mode == "picard":
         # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
-        # and for the beta guard the conservative max|fc| is the right constant.
+        # so with this L_U any beta that passes here passes picard's own check.
         l_u = abs(affine["fb"]) * max(abs(x) for x in affine["fc"])
-        minimal = l_u**2 + 2 * abs(affine["fa"])
+        minimal = beta_requirement(LipschitzConstants(l_f=abs(affine["fa"]), l_u=l_u))
         if cfg.beta <= minimal:
             raise ConfigInvalid(
                 "beta",
-                f"picard mode needs beta > L_U^2 + 2 L_f = {minimal!r}, got {cfg.beta!r}",
+                f"picard mode needs beta > L_U^2/alpha + 2 L_f/sqrt(alpha) = {minimal!r} at alpha = {ALPHA_MAX!r},"
+                f" got {cfg.beta!r}",
             )
     return cfg
 
@@ -353,7 +354,10 @@ def _weight_field(tree: ScenarioTree, beta: float, gamma: float) -> str:
 
 
 def build_problem(cfg: RunConfig):
-    """Materialize (tree, generator spec) from a validated config.
+    """Materialize (tree, generator spec, state generators) from a validated config.
+
+    The state generators are None outside picard mode; in picard mode the
+    spec holds xi and h, and its f and g are zero.
 
     ConfigInvalid names the field whose node values are not finite (payoff,
     barrier, an f or g offset), a barrier above the payoff at a leaf, and
@@ -394,12 +398,10 @@ def build_problem(cfg: RunConfig):
         )
     if cfg.affine is None:
         g_levels = None if cfg.brownian == "none" else g_off
-        return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels)
-    f_state, g_state, constants = affine_generators(
-        **cfg.affine, f_offset=lambda t, k: f_off[k], g_offset=lambda t, k: g_off[k]
-    )
-    g_state = None if cfg.brownian == "none" else g_state
-    return tree, GeneratorSpec(xi=xi, h=h, f_state=f_state, g_state=g_state, lipschitz=constants(tree))
+        return tree, GeneratorSpec(xi=xi, h=h, f_levels=f_off, g_levels=g_levels), None
+    state = affine_generators(tree, **cfg.affine, f_offset=f_off, g_offset=g_off)
+    g_state = None if cfg.brownian == "none" else state.g
+    return tree, GeneratorSpec(xi=xi, h=h), state._replace(g=g_state)
 
 
 # ---------------------------------------------------------------------------
@@ -665,27 +667,27 @@ class Solved(NamedTuple):
     trace: Optional[PicardTrace]
 
 
-def _gamma_field(gen: GeneratorSpec) -> str:
+def _gamma_field(state: StateGenerators) -> str:
     """The field a too-large gamma names: that of the larger of its two ``gamma_terms``."""
-    terms = gamma_terms(gen.lipschitz)
+    terms = gamma_terms(state.lipschitz)
     return "generator.gz" if terms[0] >= terms[1] else "generator.ga"
 
 
-def _contraction(tree: ScenarioTree, gen: GeneratorSpec, cfg: RunConfig) -> ContractionConfig:
+def _contraction(tree: ScenarioTree, state: StateGenerators, cfg: RunConfig) -> ContractionConfig:
     """``select_contraction_parameters``, whose gamma is one above the sum of ``gamma_terms``.
 
     Before any sweep, ConfigInvalid names the field of the larger term (``generator.gz`` or
     ``generator.ga``) if gamma loses the one or overflows level N - 1's weight e^{beta A + gamma t}.
     """
-    terms = gamma_terms(gen.lipschitz)
+    terms = gamma_terms(state.lipschitz)
     gamma = sum(terms) + 1.0
     with np.errstate(over="ignore"):  # an infinite weight is named below
         weight = np.exp(cfg.beta * tree.a_levels[-2] + gamma * tree.grid.times[-2])
     if not (np.isfinite(weight) and gamma > sum(terms)):
-        raise ConfigInvalid(_gamma_field(gen),
+        raise ConfigInvalid(_gamma_field(state),
                             f"gamma = {float(gamma)!r}, one above its Lipschitz threshold, is too large "
                             "for the fixed-point weight e^(beta A + gamma t)")
-    return select_contraction_parameters(gen.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol)
+    return select_contraction_parameters(state.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol)
 
 
 def _solve(cfg: RunConfig) -> Solved:
@@ -694,12 +696,12 @@ def _solve(cfg: RunConfig) -> Solved:
     In picard mode, ConfigInvalid names the field ``_contraction`` names if a Picard distance
     is not finite: a finite weight near the largest float can still overflow one.
     """
-    tree, gen = build_problem(cfg)
-    if cfg.mode == "picard":
-        contraction = _contraction(tree, gen, cfg)
-        trace = picard_solve(tree, gen, contraction)
+    tree, gen, state = build_problem(cfg)
+    if state is not None:
+        contraction = _contraction(tree, state, cfg)
+        trace = picard_solve(tree, gen, state, contraction)
         if not np.all(np.isfinite(trace.distances)):
-            raise ConfigInvalid(_gamma_field(gen),
+            raise ConfigInvalid(_gamma_field(state),
                                 f"gamma = {float(contraction.gamma)!r} overflows a weighted Picard distance")
         return Solved(tree, trace.solution, trace.frozen_spec, contraction, trace)
     return Solved(tree, solve_given_generators(tree, gen), gen, None, None)
@@ -755,7 +757,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.affine is not None:
         raise ConfigInvalid("mode", "the oracle verb needs a given-generator family")
-    tree, spec = build_problem(cfg)
+    tree, spec, _ = build_problem(cfg)
     n_interior = tree.total_nodes - tree.n_leaves
     if n_interior > ENUMERATION_CAP:  # before the solve, which the oracle could not certify
         raise ConfigInvalid(
@@ -811,8 +813,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_norms(cfg: RunConfig, out_dir: Path) -> int:
     run = _solve(cfg)
     table = norm_table(run.tree, run.sol, cfg.beta, cfg.gamma)
-    # In picard mode the configured spec is state-dependent; ``spec`` carries
-    # the f that the final iterate solves with.
+    # In picard mode ``spec`` holds the f that the final iterate solves: f frozen at the iterate before it.
     bound = None
     if cfg.beta > 0:
         lhs, rhs, excess = cauchy_weight_bound(run.tree, run.spec.f_levels, cfg.beta)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .lattice import ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet
-from .rbsde import GeneratorSpec, LipschitzConstants
+from .picard import LipschitzConstants, StateGenerators
+from .rbsde import GeneratorSpec
 
 
 def make_tree(
@@ -37,6 +38,7 @@ def _clip(x, bound: Optional[float]):
 
 
 def affine_generators(
+    tree: ScenarioTree,
     fa: float,
     fb: float,
     fc,
@@ -45,17 +47,16 @@ def affine_generators(
     f_offset=None,
     g_offset=None,
     clip: Optional[float] = None,
-):
-    """Affine (or clipped-affine) generator pair with certified constants.
+) -> StateGenerators:
+    """Affine (or clipped-affine) generator pair on ``tree``, with certified constants.
 
-    f(t, y, u) = fa * cl(y) + fb * cl(<fc, u>_phi) + f_offset(t, state)
-    g(t, y, z) = ga * cl(y) + gz * cl(z) + g_offset(t, state)
+    f(t, y, u) = fa * cl(y) + fb * cl(<fc, u>_phi) + f_offset_k
+    g(t, y, z) = ga * cl(y) + gz * cl(z) + g_offset_k
 
     where <.,.>_phi is the mark-kernel inner product and cl clips at +/-clip
     (identity when clip is None; clipping is 1-Lipschitz so the constants are
-    unchanged).  Offsets are callables (tree, k) -> per-node array, or None.
-    Returns (f_state, g_state, constants_fn) where constants_fn(tree) yields
-    the certified LipschitzConstants for that tree's kernel.
+    unchanged).  Offsets are lists of per-node arrays, one per level, or None.
+    L_U is |fb| times the largest kernel norm of fc over the tree's levels.
     """
     fc = np.asarray(fc, dtype=float)
 
@@ -63,24 +64,18 @@ def affine_generators(
         umean = u @ (fc * tree.phi[k])
         base = fa * _clip(y, clip) + fb * _clip(umean, clip)
         if f_offset is not None:
-            base = base + f_offset(tree, k)
+            base = base + f_offset[k]
         return base + np.zeros(tree.level_size(k))
 
     def g_state(tree, k, y, z):
         base = ga * _clip(y, clip) + gz * _clip(z, clip)
         if g_offset is not None:
-            base = base + g_offset(tree, k)
+            base = base + g_offset[k]
         return base + np.zeros(tree.level_size(k))
 
-    def constants(tree) -> LipschitzConstants:
-        kernel_norm = max(
-            float(np.sqrt(fc**2 @ tree.phi[k])) for k in range(tree.n_steps)
-        )
-        return LipschitzConstants(
-            l_f=abs(fa), l_u=abs(fb) * kernel_norm, l_g=abs(ga), l_z=abs(gz)
-        )
-
-    return f_state, g_state, constants
+    kernel_norm = max(float(np.sqrt(fc**2 @ tree.phi[k])) for k in range(tree.n_steps))
+    lip = LipschitzConstants(l_f=abs(fa), l_u=abs(fb) * kernel_norm, l_g=abs(ga), l_z=abs(gz))
+    return StateGenerators(f_state, g_state, lip)
 
 
 def terminal_payoff(tree: ScenarioTree, const=0.0, w=0.0, n=0.0, wn=0.0) -> np.ndarray:
@@ -178,7 +173,7 @@ def random_oracle_instance(rng):
 
 
 def random_picard_instance(rng, n_brownian: int = 2, max_lip: float = 0.5):
-    """Random affine state-dependent instance with certified constants."""
+    """Random affine state-dependent instance: (tree, spec of xi and h, its StateGenerators)."""
     tree, base = random_given_instance(rng, max_steps=3, n_brownian=n_brownian, with_jumps=True)
     fa = float(rng.uniform(-max_lip, max_lip))
     fb = float(rng.uniform(-max_lip, max_lip))
@@ -186,17 +181,5 @@ def random_picard_instance(rng, n_brownian: int = 2, max_lip: float = 0.5):
     gz = float(rng.uniform(-max_lip, max_lip)) if n_brownian == 2 else 0.0
     f_off = state_levels(tree, *rng.uniform(-1.0, 1.0, size=4))
     g_off = state_levels(tree, *rng.uniform(-1.0, 1.0, size=4)) if n_brownian == 2 else None
-    f_state, g_state, constants = affine_generators(
-        fa, fb, fc=np.ones(tree.n_marks), ga=ga, gz=gz,
-        f_offset=lambda t, k: f_off[k],
-        g_offset=(lambda t, k: g_off[k]) if g_off is not None else None,
-    )
-    lip = constants(tree)
-    gen = GeneratorSpec(
-        xi=base.xi,
-        h=base.h,
-        f_state=f_state,
-        g_state=g_state if n_brownian == 2 else None,
-        lipschitz=lip,
-    )
-    return tree, gen
+    state = affine_generators(tree, fa, fb, np.ones(tree.n_marks), ga, gz, f_offset=f_off, g_offset=g_off)
+    return tree, GeneratorSpec(xi=base.xi, h=base.h), state if n_brownian == 2 else state._replace(g=None)

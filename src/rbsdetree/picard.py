@@ -1,22 +1,23 @@
 """Fixed-point solver for state-dependent generators via frozen iteration.
 
-Each sweep evaluates the generators at the previous iterate, solves the
-resulting known-generator reflected equation, and measures the move in the
-composite weighted norm; the map contracts once the weight exponents clear
-the Lipschitz thresholds.  A point of the iteration is the solver's own
+The problem is a ``GeneratorSpec`` (xi, h and any given generator levels)
+and its ``StateGenerators``.  Each sweep evaluates the state generators at
+the previous iterate, solves the resulting known-generator reflected
+equation, and measures the move in the composite weighted norm; the map
+contracts once the weight exponents clear the Lipschitz thresholds.  A point of the iteration is the solver's own
 integrands-only ``RbsdeSolution`` (Y, U, Z), with Z zero on a jump-only tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BetaTooSmall, NoConvergence
 from .lattice import ScenarioTree
-from .rbsde import GeneratorSpec, LipschitzConstants, RbsdeSolution, leaf_representation
+from .rbsde import GeneratorSpec, RbsdeSolution, leaf_representation
 from .rbsde import solve_given_generators
 
 # Not called here (the CLI checks the final iterate; one solver serves both
@@ -29,7 +30,29 @@ ALPHA_MAX = 1.0 - 1e-9
 RATE_SLACK = 0.05  # how far a late ratio of successive distances may exceed alpha
 
 
-def _beta_requirement(lip: LipschitzConstants, alpha: float) -> float:
+class LipschitzConstants(NamedTuple):
+    """Certified constants (L_f, L_U, L_g, L_Z) of the generator pair."""
+
+    l_f: float = 0.0
+    l_u: float = 0.0
+    l_g: float = 0.0
+    l_z: float = 0.0
+
+
+class StateGenerators(NamedTuple):
+    """Generators f(tree, k, y, u) and g(tree, k, y, z) that read the state, and their constants.
+
+    Each returns one value per node of level k.  A None generator is the
+    spec's given levels, so a spec may pair a given g with a state f.
+    """
+
+    f: Optional[Callable]
+    g: Optional[Callable]
+    lipschitz: LipschitzConstants
+
+
+def beta_requirement(lip: LipschitzConstants, alpha: float = ALPHA_MAX) -> float:
+    """L_U^2/alpha + 2 L_f/sqrt(alpha): beta must exceed it."""
     return lip.l_u**2 / alpha + 2 * lip.l_f / np.sqrt(alpha)
 
 
@@ -54,8 +77,8 @@ class ContractionConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.beta <= _beta_requirement(self.lipschitz, self.alpha):
-            raise BetaTooSmall(self.beta, _beta_requirement(self.lipschitz, self.alpha))
+        if self.beta <= beta_requirement(self.lipschitz, self.alpha):
+            raise BetaTooSmall(self.beta, beta_requirement(self.lipschitz, self.alpha))
         if self.gamma <= sum(gamma_terms(self.lipschitz, self.alpha)):
             raise ValueError("gamma below its Lipschitz threshold")
 
@@ -78,11 +101,11 @@ def select_contraction_parameters(
     # The threshold is decreasing in alpha, so bisect for the lower feasibility
     # boundary and take the upper end of the feasible interval, capped below 1.
     lo, hi = 1e-12, ALPHA_MAX
-    if beta <= _beta_requirement(lip, hi):
-        raise BetaTooSmall(beta, _beta_requirement(lip, hi))
+    if beta <= beta_requirement(lip, hi):
+        raise BetaTooSmall(beta, beta_requirement(lip, hi))
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if beta > _beta_requirement(lip, mid):
+        if beta > beta_requirement(lip, mid):
             hi = mid
         else:
             lo = mid
@@ -140,24 +163,20 @@ class PicardTrace:
         return [d2 / d1 for d1, d2 in zip(d[1:], d[2:]) if d1 > 1e-12]
 
 
-def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, point: RbsdeSolution) -> GeneratorSpec:
+def _frozen_spec(tree: ScenarioTree, gen: GeneratorSpec, state: StateGenerators, point: RbsdeSolution):
+    """``gen`` with ``state``'s generators evaluated at ``point``."""
     f_levels, g_levels = gen.f_levels, gen.g_levels
-    if gen.f_state is not None:
-        f_levels = [gen.f_state(tree, k, point.y[k], point.u[k]) for k in range(tree.n_steps)]
-    if gen.g_state is not None:
-        g_levels = [gen.g_state(tree, k, point.y[k], point.z[k]) for k in range(tree.n_steps)]
-    return GeneratorSpec(
-        xi=gen.xi,
-        h=gen.h,
-        f_levels=f_levels,
-        g_levels=g_levels,
-        lipschitz=gen.lipschitz,
-    )
+    if state.f is not None:
+        f_levels = [state.f(tree, k, point.y[k], point.u[k]) for k in range(tree.n_steps)]
+    if state.g is not None:
+        g_levels = [state.g(tree, k, point.y[k], point.z[k]) for k in range(tree.n_steps)]
+    return replace(gen, f_levels=f_levels, g_levels=g_levels)
 
 
 def picard_solve(
     tree: ScenarioTree,
     gen: GeneratorSpec,
+    state: StateGenerators,
     cfg: ContractionConfig,
     init: Optional[RbsdeSolution] = None,
 ) -> PicardTrace:
@@ -167,15 +186,16 @@ def picard_solve(
     next sweep and the distance read; the final iterate is solved in full,
     push and residuals included.  Y_N = xi in every sweep, so xi and h are
     checked and Y_N's representation is made once, before the first sweep; a
-    sweep checks only its frozen f and g.  Raises NoConvergence (carrying the
-    distance trace) if the iteration cap is reached first.
+    sweep checks only its frozen f and g.  ``cfg`` is selected for
+    ``state.lipschitz``.  Raises NoConvergence (carrying the distance trace)
+    if the iteration cap is reached first.
     """
     leaf = leaf_representation(tree, gen)
     point = init if init is not None else _zero_point(tree)
     distances = []
     frozen = None
     for _ in range(cfg.max_iter):
-        frozen = _frozen_spec(tree, gen, point)
+        frozen = _frozen_spec(tree, gen, state, point)
         sweep = solve_given_generators(tree, frozen, integrands_only=True, leaf=leaf)
         d = composite_distance(tree, point, sweep, cfg)
         distances.append(d)

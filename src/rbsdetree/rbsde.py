@@ -10,7 +10,7 @@ tree is the same equation with no Brownian moves, and so with Z = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,57 +26,35 @@ BARRIER_TOL = 1e-12  # how far h may exceed xi at a leaf
 MAJORANT_TOL = 1e-10  # how far e^{beta A/2}|Y| may exceed the majorant
 
 
-class LipschitzConstants(NamedTuple):
-    """Certified constants (L_f, L_U, L_g, L_Z) of the generator pair."""
-
-    l_f: float = 0.0
-    l_u: float = 0.0
-    l_g: float = 0.0
-    l_z: float = 0.0
-
-
 @dataclass
 class GeneratorSpec:
-    """Problem data (xi, f, g, h) and the generators' Lipschitz constants.
+    """Problem data (xi, h) and the given generator levels f and g: a problem the one-pass solver solves.
 
-    ``f_levels``/``g_levels`` hold given (state-independent) generator values
-    per level; ``f_state``/``g_state`` hold state-dependent callables
-    f(tree, k, y, u) and g(tree, k, y, z) used by the fixed-point solver.
-    A generator given in neither form is zero, filled in when the spec is
-    made, so levels are None only for a state-dependent generator; such a
-    spec goes through ``picard_solve``.  A spec may carry both forms; the
-    given one is what the one-pass solver reads.
+    A generator given as None is zero, filled in when the spec is made.
+    Generators that depend on (Y, U, Z) are ``picard.StateGenerators``; the
+    fixed-point solver freezes them into a spec of this kind at every sweep.
     """
 
     xi: np.ndarray
     h: NodeProcess
     f_levels: Optional[NodeProcess] = None
     g_levels: Optional[NodeProcess] = None
-    f_state: Optional[Callable] = None
-    g_state: Optional[Callable] = None
-    lipschitz: LipschitzConstants = LipschitzConstants()
 
     def __post_init__(self):
-        if self.f_levels is None and self.f_state is None:
+        if self.f_levels is None:
             self.f_levels = [np.zeros(len(x)) for x in self.h[:-1]]
-        if self.g_levels is None and self.g_state is None:
+        if self.g_levels is None:
             self.g_levels = [np.zeros(len(x)) for x in self.h[:-1]]
 
-    def validate(self, tree: ScenarioTree, data: bool = True, generators: bool = True):
-        """ValueError unless the ``data`` (shapes, finite values, h <= xi) and the ``generators`` hold.
-
-        f and g must be finite and known: no known-generator solve reads a state-dependent one.
-        """
+    def validate(self, tree: ScenarioTree, data: bool = True):
+        """ValueError unless f and g are finite and, with ``data``, xi and h are finite and
+        shaped to the tree, with h <= xi at the leaves (a Picard loop checks them once)."""
         if data and len(self.xi) != tree.n_leaves:
             raise ValueError("terminal payoff must be leaf-indexed")
         if data and len(self.h) != tree.n_steps + 1:
             raise ValueError("barrier must be defined on every level")
         named = [("xi", [self.xi]), ("h", self.h)] if data else []
-        if generators:
-            named += [("f_levels", self.f_levels), ("g_levels", self.g_levels)]
-        for name, levels in named:
-            if levels is None:
-                raise ValueError(f"generator {name[0]} is state-dependent; solve the spec with picard_solve")
+        for name, levels in named + [("f_levels", self.f_levels), ("g_levels", self.g_levels)]:
             if not all(np.isfinite(x).all() for x in levels):
                 raise ValueError(f"{name} has a non-finite value")
         gap = np.max(self.h[-1] - self.xi) if data else -np.inf
@@ -126,9 +104,9 @@ def _solve_backward(tree, f_levels, g_levels, xi, h, integrands_only, leaf=None)
 
 
 def leaf_representation(tree: ScenarioTree, gen: GeneratorSpec) -> Representation:
-    """Check xi and h, and represent Y_N = xi over the last step: the ``leaf``
+    """Check the spec, and represent Y_N = xi over the last step: the ``leaf``
     of every solve in a Picard loop."""
-    gen.validate(tree, generators=False)
+    gen.validate(tree)
     return extract_representation(tree, tree.n_steps - 1, gen.xi)
 
 
@@ -154,7 +132,6 @@ def running_gains(tree: ScenarioTree, f_levels, g_levels) -> NodeProcess:
 
 def reward_process(tree: ScenarioTree, gen: GeneratorSpec) -> NodeProcess:
     """The stopped-reward process: running gains plus barrier, payoff at T."""
-    gen.validate(tree, data=False)
     return _stopped_reward(gen, running_gains(tree, gen.f_levels, gen.g_levels))
 
 
@@ -204,7 +181,6 @@ def check_equation_residual(tree: ScenarioTree, sol: RbsdeSolution, gen: Generat
     Returns the ``equation_residual`` record, judged at EQUATION_TOL, and the
     largest per-branch residual.
     """
-    gen.validate(tree, data=False)
     max_res = max_cmean = max_mismatch = 0.0
     for k in range(tree.n_steps):
         n_k, b = tree.level_size(k), tree.branching(k)
@@ -242,7 +218,6 @@ def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution
     Cauchy-Schwarz bound it certifies holds on any grid.  Returns the list of
     violating (level, node, lhs, rhs) tuples; empty means the bound holds.
     """
-    gen.validate(tree, data=False)
     a = tree.a_levels
     n = tree.n_steps
 

@@ -23,7 +23,8 @@ from .instances import (
     state_levels,
     terminal_payoff,
 )
-from .picard import RATE_SLACK, picard_solve, select_contraction_parameters
+from .picard import RATE_SLACK, LipschitzConstants, StateGenerators, picard_solve
+from .picard import select_contraction_parameters
 from .rbsde import (
     EQUATION_TOL,
     ROUTE_TOL,
@@ -155,16 +156,16 @@ def criterion_picard(scale: str = "small"):
     max_iters = 0
     for i in range(n := _count(scale, 20)):
         n_brownian = 1 if i % 4 == 3 else 2
-        tree, gen = random_picard_instance(rng, n_brownian=n_brownian)
-        lip = gen.lipschitz
+        tree, gen, state = random_picard_instance(rng, n_brownian=n_brownian)
+        lip = state.lipschitz
         beta = lip.l_u**2 + 2 * lip.l_f + 0.5
         cfg = select_contraction_parameters(lip, beta, max_iter=40, tol=1e-9)
-        trace = picard_solve(tree, gen, cfg)
+        trace = picard_solve(tree, gen, state, cfg)
         max_iters = max(max_iters, len(trace.distances))
         worst_ratio = max([worst_ratio, *trace.late_ratios])
         sol = trace.solution
         ones = RbsdeSolution(*([np.ones_like(x) for x in process] for process in (sol.y, sol.u, sol.z)))
-        other = picard_solve(tree, gen, cfg, init=ones).solution
+        other = picard_solve(tree, gen, state, cfg, init=ones).solution
         worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b))) for a, b in zip(sol.y, other.y)])
         bound = cfg.alpha + RATE_SLACK
     ok = worst_ratio <= bound and worst_gap <= 1e-8 and max_iters <= 40
@@ -337,18 +338,11 @@ def fixture_jump_count():
 
 
 def fixture_linear_fixed_point():
-    """One jump-only step, f = 0.1 y, xi = 1: fixed point Y_0 = 1/0.9."""
-    from .rbsde import LipschitzConstants
-
+    """One jump-only step, f = 0.1 y, xi = 1: fixed point Y_0 = 1/0.9.  Returns (tree, spec, state)."""
     tree = make_tree(1, 1.0, ("e1",), rate=1.0, n_brownian=1)
     xi = np.ones(tree.n_leaves)
-    gen = GeneratorSpec(
-        xi=xi,
-        h=[np.array([-10.0]), xi - 10.0],
-        f_state=lambda t, k, y, u: 0.1 * y,
-        lipschitz=LipschitzConstants(l_f=0.1),
-    )
-    return tree, gen
+    state = StateGenerators(f=lambda t, k, y, u: 0.1 * y, g=None, lipschitz=LipschitzConstants(l_f=0.1))
+    return tree, GeneratorSpec(xi=xi, h=[np.array([-10.0]), xi - 10.0]), state
 
 
 @_timed("hand-computed fixtures")
@@ -367,9 +361,9 @@ def criterion_fixtures(scale: str = "small"):
     errs["jump U"] = abs(float(sol.u[0][0, 0]) - 1.0)
     errs["jump |U|^2"] = abs(norm_sq(tree, sol.u, WeightedNorm("p", 0.0)) - np.log(2.0))
 
-    tree, gen = fixture_linear_fixed_point()
-    cfg = select_contraction_parameters(gen.lipschitz, beta=0.7, tol=1e-13)
-    trace = picard_solve(tree, gen, cfg)
+    tree, gen, state = fixture_linear_fixed_point()
+    cfg = select_contraction_parameters(state.lipschitz, beta=0.7, tol=1e-13)
+    trace = picard_solve(tree, gen, state, cfg)
     errs["fixed point Y_0"] = abs(float(trace.solution.y[0][0]) - 1.0 / 0.9)
 
     worst = max(errs.values())

@@ -62,7 +62,7 @@ def test_picard_beta_guard_names_minimal_bound():
     }
     with pytest.raises(ConfigInvalid) as exc:
         parse_config(raw)
-    assert "1.25" in str(exc.value)  # L_U^2 + 2 L_f = 0.25 + 1.0
+    assert "1.25" in str(exc.value)  # L_U^2/alpha + 2 L_f/sqrt(alpha) = 1.25000000075 at alpha = 1 - 1e-9
 
 
 def test_config_round_trip():
@@ -221,7 +221,7 @@ def test_run_checks_builds_the_reward_process_once(monkeypatch):
     calls = []
     real = rbsde.running_gains
     monkeypatch.setattr(rbsde, "running_gains", lambda *a: calls.append(1) or real(*a))
-    tree, gen = build_problem(parse_config(yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())))
+    tree, gen, _ = build_problem(parse_config(yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())))
     sol = cli.solve_given_generators(tree, gen)
     checks, eta = cli.run_checks(tree, sol, gen, beta=1.0)
     assert calls == [1]
@@ -268,10 +268,11 @@ def test_exit_codes(tmp_path):
 
 def test_build_problem_shapes():
     cfg = parse_config(BASE)
-    tree, gen = build_problem(cfg)
+    tree, gen, state = build_problem(cfg)
     assert tree.n_leaves == 2
     assert np.allclose(gen.xi, tree.w[-1])
     assert gen.h[0][0] == 0.5
+    assert state is None
 
 
 def _exit_and_error(tmp_path, capsys, raw, verb="solve"):
@@ -473,6 +474,7 @@ def test_the_allocator_is_set_once_per_process(tmp_path, monkeypatch, allocator_
         ("barrier", "base", [0.5, "abc"], "barrier.base[1]"),
         ("generator", "f", {"const": "abc"}, "generator.f.const"),
         ("generator", "clip", "abc", "generator.clip"),
+        ("generator", "clip", -1.0, "generator.clip"),
     ],
 )
 def test_bad_problem_number_exits_2_before_the_tree_is_built(

@@ -281,8 +281,8 @@ def test_norms_with_weights_scaled_below_the_bound_exits_1(tmp_path, monkeypatch
     build = cli.build_problem
 
     def lighter_weights(cfg):  # every weight e^{beta A} times e^{-50 beta}
-        tree, gen = build(cfg)
-        return dataclasses.replace(tree, a_levels=tree.a_levels - 50.0), gen
+        tree, gen, state = build(cfg)
+        return dataclasses.replace(tree, a_levels=tree.a_levels - 50.0), gen, state
 
     monkeypatch.setattr(cli, "build_problem", lighter_weights)
     out = tmp_path / "run"
@@ -358,3 +358,18 @@ def test_a_picard_distance_that_overflows_exits_2_naming_gz(tmp_path, capsys, gz
     else:
         assert err.startswith("config error: generator.gz: gamma = ") and "Picard distance" in err
         assert not any((tmp_path / "run").iterdir())
+
+
+@pytest.mark.parametrize("beta, code", [(0.4100000000041, 2), (0.41000000041, 0)])
+def test_a_picard_beta_that_parses_passes_the_contraction_check(tmp_path, capsys, beta, code):
+    """``picard_affine.yaml`` needs beta > L_U^2/alpha + 2 L_f/sqrt(alpha) = 0.41000000021 at
+    alpha = 1 - 1e-9, which is what ``select_contraction_parameters`` checks.  A beta between
+    that and L_U^2 + 2 L_f = 0.41 exits 2 naming ``beta``, before any tree is built."""
+    config = _write(tmp_path, _shipped("picard_affine", beta=beta))
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("config error: beta: picard mode needs beta > ") and "0.4100000000041" in err
+        assert not (tmp_path / "run").exists()

@@ -3,7 +3,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,7 @@ from rbsdetree import (
     stop_levels,
 )
 from rbsdetree.cli import norm_table
-from rbsdetree.instances import affine_generators, make_tree
+from rbsdetree.instances import make_tree
 from rbsdetree.verify import filtration_gap, w_free_pair
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -172,17 +171,3 @@ def test_norm_table_reports_z_iff_the_tree_has_brownian_branching(problem, beta,
     tree, gen = problem
     table = norm_table(tree, solve_given_generators(tree, gen), beta, gamma)
     assert ("Z_W" in table) == (tree.n_brownian == 2)
-
-
-@SETTINGS
-@given(problem=problems(), state=st.sampled_from(["f", "g", "fg"]), offset=st.floats(-2.0, 2.0))
-def test_a_state_dependent_spec_raises_from_every_known_generator_entry_point(problem, state, offset):
-    tree, gen = problem
-    f_state, g_state, _ = affine_generators(0.2, 0.1, [1.0] * tree.n_marks, 0.1, 0.1,
-                                            f_offset=lambda t, k: offset, g_offset=lambda t, k: offset)
-    spec = replace(gen, f_levels=None, g_levels=None,
-                   f_state=f_state if "f" in state else None, g_state=g_state if "g" in state else None)
-    assert spec.f_levels is None if "f" in state else spec.f_levels is not None
-    for entry in solve_given_generators, solve_via_snell, reward_process:
-        with pytest.raises(ValueError, match=f"generator {state[0]} is state-dependent"):
-            entry(tree, spec)

@@ -11,8 +11,7 @@ from rbsdetree import (
     solve_given_generators,
     solve_via_snell,
 )
-from rbsdetree.instances import make_tree, random_given_instance, random_picard_instance
-from rbsdetree.picard import picard_solve, select_contraction_parameters
+from rbsdetree.instances import make_tree, random_given_instance
 from rbsdetree.verify import fixture_jump_count, fixture_reflected_binomial
 
 
@@ -184,16 +183,3 @@ def test_validate_rejects_non_finite_data(field):
     target[0] = np.nan
     with pytest.raises(ValueError, match=field):
         solve_given_generators(tree, GeneratorSpec(**data))
-
-
-@pytest.mark.parametrize("check", ["equation residual", "majorant"])
-def test_a_check_handed_a_state_dependent_spec_raises_the_named_error(check):
-    """Only a known-generator spec has f levels to check against; a configured picard spec has none."""
-    tree, gen = random_picard_instance(np.random.default_rng(0))
-    lip = gen.lipschitz
-    sol = picard_solve(tree, gen, select_contraction_parameters(lip, lip.l_u**2 + 2 * lip.l_f + 0.5)).solution
-    with pytest.raises(ValueError, match="generator f is state-dependent"):
-        if check == "majorant":
-            a_priori_majorant(tree, gen, sol, beta=1.0)
-        else:
-            check_equation_residual(tree, sol, gen)
