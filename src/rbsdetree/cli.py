@@ -282,8 +282,12 @@ def parse_config(raw: dict) -> RunConfig:
     if mode == "picard":
         # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
         # so with this L_U any beta that passes here passes picard's own check.
-        l_u = abs(affine["fb"]) * max(abs(x) for x in affine["fc"])
-        minimal = beta_requirement(LipschitzConstants(l_f=abs(affine["fa"]), l_u=l_u))
+        fc = max(abs(x) for x in affine["fc"])
+        l_u = abs(affine["fb"]) * fc
+        if not math.isfinite(l_u * l_u):
+            raise ConfigInvalid("generator.fb" if abs(affine["fb"]) >= fc else "generator.fc",
+                                f"L_U = |fb| max|fc| = {l_u!r} overflows L_U^2 in picard mode's beta bound")
+        minimal = float(beta_requirement(LipschitzConstants(l_f=abs(affine["fa"]), l_u=l_u)))
         if cfg.beta <= minimal:
             raise ConfigInvalid(
                 "beta",
@@ -423,7 +427,6 @@ def write_summary(out_dir: Path, summary: dict):
 
 
 CSV_CHUNK_ROWS = 1 << 14
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # odd; 2^64 over the golden ratio
 
 
 def _float_text(values) -> list:
@@ -438,106 +441,97 @@ def _float_text(values) -> list:
     return text[inverse].tolist()
 
 
-def _row_hash(bits: np.ndarray) -> np.ndarray:
-    """A 64-bit multiplicative hash of each column of a (fields, rows) uint64 array."""
-    h = np.zeros(bits.shape[1], dtype=np.uint64)
-    for field_bits in bits:
-        h ^= field_bits
-        h *= _HASH_MULT
-        h ^= h >> np.uint64(29)
-    return h
-
-
 _DIGITS = [str(r) for r in range(1000)]  # node index text below 1000
 _PADDED = [f"{r:03d}" for r in range(1000)]  # last three digits after a "k,q" head
 
 
-def _csv_rows(tree: ScenarioTree, gen: GeneratorSpec, sol, batch, memo: dict) -> str:
-    """The text of one batch of rows; ``memo`` maps a row's key bytes to its tail.
-
-    A row's key is the bit pattern of its fields (level, t, w, n_jumps, y, h,
-    z, u..., dk, k_cum, residual; zero where a leaf row is empty), which fix
-    all of its text but the node index.  Rows are grouped by a hash of the
-    fields that vary over the batch, and every row is checked against its
-    group's representative, any member of the group, on those fields; if
-    any differs, every row of the batch counts as distinct.  Only keys
-    missing from ``memo`` are formatted.
-    """
-    m = tree.n_marks
-    keys = np.zeros((10 + m, sum(hi - lo for _, lo, hi in batch)))
-    heads, nodes = [], []
-    for k, lo, hi in batch:
-        rows, cols = slice(lo, hi), slice(len(nodes), len(nodes) + hi - lo)
-        keys[:2, cols] = [[k], [tree.grid.times[k]]]
-        keys[2:6, cols] = tree.w[k][rows], tree.n_jumps[k][rows], sol.y[k][rows], gen.h[k][rows]
-        if k < tree.n_steps:
-            keys[6, cols] = sol.z[k][rows]
-            keys[7:7 + m, cols] = sol.u[k][rows].T
-            keys[7 + m:, cols] = sol.dk[k][rows], sol.k_cum[k][rows], sol.residual[k][rows]
-        else:
-            keys[8 + m, cols] = sol.k_cum[k][rows]
-        for q in range(lo // 1000, (hi - 1) // 1000 + 1):
-            a, b = max(lo - 1000 * q, 0), min(hi - 1000 * q, 1000)
-            heads += [f"{k},{q}" if q else f"{k},"] * (b - a)
-            nodes += (_PADDED if q else _DIGITS)[a:b]
-    bits = keys.view(np.uint64)
-    bits = bits[(bits != bits[:, :1]).any(axis=1)]  # a field constant over the batch tells no rows apart
-    h = _row_hash(bits)
-    order = h.argsort()
-    starts = np.concatenate(([True], h[order[1:]] != h[order[:-1]]))
-    first, inverse = order[starts], np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    if not (bits.take(first[inverse], axis=1) == bits).all():
-        first = inverse = np.arange(len(nodes))
-    distinct = keys[:, first]
-    names = np.ascontiguousarray(distinct.T).view(f"V{keys.itemsize * len(keys)}").ravel().tolist()
-    fresh = [j for j, name in enumerate(names) if name not in memo]
-    if fresh:
-        new = distinct[:, fresh]
-        # t, w, y, h, z, u..., dk, k_cum, residual; a leaf row leaves all but k_cum empty.
-        text = np.array(_float_text(np.delete(new, (0, 3), axis=0).ravel()), dtype=object)
-        text = text.reshape(8 + m, len(fresh))
-        text[np.ix_([*range(4, 6 + m), 7 + m], np.flatnonzero(new[0] == tree.n_steps))] = ""
-        jumps = map(str, new[3].astype(np.int64).tolist())
-        fields = zip(text[0], text[1], jumps, *text[2:])
-        memo.update(zip([names[j] for j in fresh], [f",{','.join(row)}\r\n" for row in fields]))
-    tails = np.array([memo[name] for name in names], dtype=object)
-    out = [None] * (3 * len(nodes))
-    out[0::3], out[1::3], out[2::3] = heads, nodes, tails[inverse].tolist()
+def _node_rows(k: int, lo: int, tails: list) -> str:
+    """The text of level k's rows lo, lo + 1, ...: each row's head and last digits, then its entry of ``tails``."""
+    heads, nodes, hi = [], [], lo + len(tails)
+    for q in range(lo // 1000, (hi - 1) // 1000 + 1):
+        a, b = max(lo - 1000 * q, 0), min(hi - 1000 * q, 1000)
+        heads += [f"{k},{q}" if q else f"{k},"] * (b - a)
+        nodes += (_PADDED if q else _DIGITS)[a:b]
+    out = [None] * (3 * len(tails))
+    out[0::3], out[1::3], out[2::3] = heads, nodes, tails
     return "".join(out)
+
+
+def _level_groups(columns, slot, cand):
+    """(group of each node, the node that stands for each group, each group's key row) on one level.
+
+    ``columns`` are the level's fields, and node i's candidate is node
+    ``cand[slot[i]]``.  Every candidate is a representative, and so is
+    every node whose fields' bits differ from its candidate's; each other
+    node joins its candidate's group.  Representatives with equal bits share
+    a group, which the first of them stands for.  A key row holds a node's
+    fields as float64, and bits are compared, so -0.0 and 0.0 stay apart.
+    """
+    lead = {}  # a representative's key bits -> (its group, its node)
+
+    def join(keys, nodes) -> list:
+        rows = keys.T.copy().view(f"V{keys.itemsize * len(keys)}").ravel().tolist()
+        return [lead.setdefault(row, (len(lead), node))[0] for row, node in zip(rows, nodes.tolist())]
+
+    cand_keys = np.array([c[cand] for c in columns], dtype=np.float64)
+    group = np.array(join(cand_keys, cand))[slot]
+    for lo in range(0, len(slot), CSV_CHUNK_ROWS):
+        keys = np.array([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dtype=np.float64)
+        fresh = np.flatnonzero((cand_keys.view(np.uint64).take(slot[lo:lo + CSV_CHUNK_ROWS], axis=1)
+                                != keys.view(np.uint64)).any(axis=0))
+        if fresh.size:
+            group[fresh + lo] = join(keys[:, fresh], fresh + lo)
+    first = np.array([node for _, node in lead.values()])
+    return group, first, np.frombuffer(b"".join(lead)).reshape(len(lead), -1)
 
 
 def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, sol):
     """One row per node, level by level; every float field is its exact repr.
 
-    Rows go out in batches of up to ``CSV_CHUNK_ROWS`` that may span levels,
-    so a small tree is one batch.  Apart from its node index, a row's text
-    is fixed by its fields' bits, and a tree repeats its rows (the 7-step
-    ``picard_affine`` tree has under 600 distinct ones among 335,923).  Each
-    row joins three existing strings: a head (``"k,"``, or ``"k,q"`` for
-    nodes 1000q to 1000q + 999) shared by a thousand rows, the last digits
-    from a fixed table, and a tail formatted once per file (a dict keyed by
-    the row's bits).  Rows are grouped by numpy's default sort of a row
-    hash; any member may stand for its group, as every row is checked bit
-    for bit against it.
-    Rows end in ``\\r\\n`` as ``csv.writer`` ends them; only the header, which
-    holds the user's mark labels, goes through ``csv.writer`` for quoting.
+    Apart from its node index, a row's text is fixed by its fields' bits.
+    The data are functions of the node state, so the tree repeats its rows
+    branch by branch: the 7-step ``picard_affine`` tree of perfbench seed 1
+    has 1, 4, 9, 16, 35, 60, 126 and 298 distinct rows on its levels.  Node
+    i of level k, below parent i // b, takes as candidate the same branch
+    below the node that stands for its parent's group; that node is a
+    representative and its children are their own candidates, so every
+    candidate is a representative and no node needs a chain of them.  A
+    candidate is only a hint (``_level_groups`` checks every row bit for
+    bit), so correctness does not rest on the tree's layout.  Each group's
+    tail is formatted once, with one ``_float_text`` call per file, and
+    rows go out ``CSV_CHUNK_ROWS`` at a time through ``_node_rows``.  Rows end in
+    ``\\r\\n`` as ``csv.writer`` ends them; only the header, which holds the
+    user's mark labels, goes through ``csv.writer`` for quoting.
     """
     path = out_dir / "solution.csv"
-    mark_cols = [f"u_{label}" for label in tree.marks.labels]
-    sizes = [tree.level_size(k) for k in range(tree.n_steps + 1)]
-    starts = np.cumsum([0, *sizes]).tolist()
-    memo = {}
+    n, m = tree.n_steps, tree.n_marks
+    levels, floats = [], []
+    group = first = np.zeros(1, dtype=np.intp)  # a virtual level above the root, with one group
+    for k in range(n + 1):
+        b = np.arange(tree.branching(k - 1) if k else 1)
+        # A row's key columns: its fields in text order, without t and with n_jumps last.
+        inner = [sol.z[k], *sol.u[k].T, sol.dk[k], sol.k_cum[k], sol.residual[k]] if k < n else [sol.k_cum[k]]
+        columns = [tree.w[k], sol.y[k], gen.h[k], *inner, tree.n_jumps[k]]
+        slot, cand = np.add.outer(group * len(b), b).ravel(), np.add.outer(first * len(b), b).ravel()
+        group, first, keys = _level_groups(columns, slot, cand)
+        levels.append((group, keys))
+        floats += [tree.grid.times[k:k + 1], keys[:, :-1].ravel()]
+    text = _float_text(np.concatenate(floats))  # per level: t, then the float fields of each group
     with _new_file(path) as fh:
-        csv.writer(fh).writerow(
-            ["level", "node", "t", "w", "n_jumps", "y", "h", "z", *mark_cols, "dk", "k_cum", "residual"]
-        )
-        for lo in range(0, starts[-1], CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            # (level, first node, end node) of each level the batch of rows [lo, hi) meets.
-            batch = [(k, max(lo - s, 0), min(hi - s, n))
-                     for k, (s, n) in enumerate(zip(starts, sizes)) if s < hi and s + n > lo]
-            fh.write(_csv_rows(tree, gen, sol, batch, memo))
+        csv.writer(fh).writerow(["level", "node", "t", "w", "n_jumps", "y", "h", "z",
+                                 *[f"u_{label}" for label in tree.marks.labels], "dk", "k_cum", "residual"])
+        pos = 0
+        for k, (group, keys) in enumerate(levels):
+            width = keys.shape[1] - 1
+            t, cells = text[pos], text[pos + 1:pos + 1 + width * len(keys)]
+            pos += 1 + len(cells)
+            rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+            if k == n:  # z, u..., dk and residual are empty at a leaf
+                rows = [[w, y, h, *[""] * (m + 2), kc, ""] for w, y, h, kc in rows]
+            jumps = map(str, keys[:, -1].astype(np.int64).tolist())
+            tails = np.array([f",{t},{r[0]},{j},{','.join(r[1:])}\r\n" for r, j in zip(rows, jumps)], dtype=object)
+            for lo in range(0, len(group), CSV_CHUNK_ROWS):
+                fh.write(_node_rows(k, lo, tails[group[lo:lo + CSV_CHUNK_ROWS]].tolist()))
     return path
 
 
@@ -676,9 +670,13 @@ def _gamma_field(state: StateGenerators) -> str:
 def _contraction(tree: ScenarioTree, state: StateGenerators, cfg: RunConfig) -> ContractionConfig:
     """``select_contraction_parameters``, whose gamma is one above the sum of ``gamma_terms``.
 
-    Before any sweep, ConfigInvalid names the field of the larger term (``generator.gz`` or
-    ``generator.ga``) if gamma loses the one or overflows level N - 1's weight e^{beta A + gamma t}.
+    Before any sweep, ConfigInvalid names ``generator.gz`` if L_Z^2 overflows a float, and the
+    field of the larger term (``generator.gz`` or ``generator.ga``) if gamma loses the one or
+    overflows level N - 1's weight e^{beta A + gamma t}.
     """
+    l_z = state.lipschitz.l_z
+    if not math.isfinite(l_z * l_z):
+        raise ConfigInvalid("generator.gz", f"L_Z = |gz| = {l_z!r} overflows L_Z^2 in the weight's gamma")
     terms = gamma_terms(state.lipschitz)
     gamma = sum(terms) + 1.0
     with np.errstate(over="ignore"):  # an infinite weight is named below

@@ -2,11 +2,12 @@
 
 import csv
 import tempfile
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from rbsdetree import GeneratorSpec, RbsdeSolution, cli
 from rbsdetree.cli import _float_text, parse_config, write_solution_csv
 from rbsdetree.instances import make_tree
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
 
@@ -126,33 +128,6 @@ def test_mpp_only_mode_matches_reference_writer(raw, chunk):
     assert new == ref
 
 
-def _writers_with_row_hash(row_hash, raw, chunk):
-    """(new bytes, reference bytes) for ``raw`` with ``row_hash`` as the writer's row hash."""
-    saved = cli._row_hash
-    cli._row_hash = row_hash
-    try:
-        return _both_writers(raw, chunk)[:2]
-    finally:
-        cli._row_hash = saved
-
-
-@SETTINGS
-@given(raw=configs("given") | configs("picard") | configs("mpp-only"), chunk=chunks)
-def test_rows_whose_hashes_all_collide_match_reference_writer(raw, chunk):
-    """With every row hashed alike, each batch falls back to formatting every row."""
-    new, ref = _writers_with_row_hash(lambda bits: np.zeros(bits.shape[1], dtype=np.uint64), raw, chunk)
-    assert new == ref
-
-
-@SETTINGS
-@given(raw=configs("given") | configs("picard") | configs("mpp-only"), chunk=chunks)
-def test_rows_whose_hashes_collide_within_a_level_match_reference_writer(raw, chunk):
-    """With only the first field that varies over a batch hashed (the level, where the batch
-    spans levels), a batch falls back when rows that share that field differ elsewhere."""
-    new, ref = _writers_with_row_hash(lambda bits: bits[:1].sum(axis=0, dtype=np.uint64), raw, chunk)
-    assert new == ref
-
-
 def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
     """Nodes 1 and 2 of each level share every field but the sign of one zero.
 
@@ -185,77 +160,169 @@ def test_rows_that_differ_only_in_the_sign_of_zero_stay_distinct():
         assert lines[6].startswith("2,1,1.0,0.0,1,0.0,") and lines[7].startswith("2,2,1.0,0.0,1,-0.0,")
 
 
-def _flat_problem(sizes, **levels):
-    """A stand-in (tree, gen, sol) with ``sizes`` nodes per level and one mark.
+STATE_TREE = make_tree(3, 1.0, ("a", "b"), rate=0.9, n_brownian=2)
 
-    Every node sits at w = 0 with no jump, and every field is the same at
-    every node of a level, except those given in ``levels`` (name -> one
-    array per level).
+
+def _level_constant_problem():
+    """(tree, gen, sol) on ``STATE_TREE`` whose solution fields are constant on each level.
+
+    A row is then fixed by its node's (w, n_jumps), so each row equals its
+    candidate, the same branch below the node that stands for its parent's
+    group; the two jump branches give equal rows, so a group can have more
+    than one member.
     """
-    n = len(sizes) - 1
-    tree = SimpleNamespace(n_steps=n, n_marks=1, marks=SimpleNamespace(labels=("e1",)),
-                           grid=SimpleNamespace(times=np.linspace(0.0, 1.0, n + 1)),
-                           w=[np.zeros(s) for s in sizes], n_jumps=[np.zeros(s) for s in sizes],
-                           level_size=lambda k: sizes[k])
-    fields = {"y": [np.full(s, 0.5) for s in sizes], "z": [np.zeros(s) for s in sizes[:-1]],
-              "u": [np.full((s, 1), 0.25) for s in sizes[:-1]], "dk": [np.zeros(s) for s in sizes[:-1]],
-              "k_cum": [np.full(s, 1.5) for s in sizes], "residual": [np.zeros(s) for s in sizes[:-1]]}
-    fields.update(levels)
-    return tree, SimpleNamespace(h=[np.full(s, -1.0) for s in sizes]), SimpleNamespace(**fields)
+    sizes = [STATE_TREE.level_size(k) for k in range(STATE_TREE.n_steps + 1)]
+    sol = RbsdeSolution(
+        y=[np.full(n, 0.5) for n in sizes],
+        u=[np.full((n, 2), 0.125) for n in sizes[:-1]],
+        z=[np.full(n, 0.25) for n in sizes[:-1]],
+        dk=[np.full(n, 0.75) for n in sizes[:-1]],
+        k_cum=[np.full(n, 1.5) for n in sizes],
+        residual=[np.full(n, 2.5) for n in sizes[:-1]],
+    )
+    return STATE_TREE, GeneratorSpec(xi=sol.y[-1], h=[np.full(n, -1.0) for n in sizes]), sol
 
 
-def _alternating(values, sizes, interior=True):
-    """One array per level, its nodes cycling through ``values``; the leaf level too unless ``interior``."""
-    return [np.resize(np.array(values), s) for s in (sizes[:-1] if interior else sizes)]
+def _recorded_groups(monkeypatch) -> list:
+    """The (slot, cand, group) of each level that the writer groups from here on."""
+    levels, real = [], cli._level_groups
+
+    def record(columns, slot, cand):
+        group, first, keys = real(columns, slot, cand)
+        levels.append((slot, cand, group))
+        return group, first, keys
+
+    monkeypatch.setattr(cli, "_level_groups", record)
+    return levels
 
 
-@pytest.mark.parametrize("field, levels", [
-    ("k_cum", lambda sizes: _alternating([1.5, 2.5], sizes, interior=False)),
-    ("z", lambda sizes: _alternating([0.0, -0.0], sizes)),
-], ids=["only-k_cum", "only-the-sign-of-a-zero-z"])
-def test_rows_that_differ_only_in_one_field_match_reference_writer(field, levels):
-    """Within a level, rows differ only in ``field``; with 3 rows per batch, batch [3, 6) holds
-    level-1 rows alone, so every other field is constant over it."""
-    sizes = [1, 6, 6]
-    tree, gen, sol = _flat_problem(sizes, **{field: levels(sizes)})
-    for chunk in (None, 1, 3, 7):
+ONE_FIELD = [(level, field, change)
+             for level, fields in [(2, ("w", "n_jumps", "y", "h", "z", "u_a", "u_b", "dk", "k_cum", "residual")),
+                                   (3, ("w", "n_jumps", "y", "h", "k_cum"))]
+             for field in fields for change in ("value", "sign-of-zero")
+             if (field, change) != ("n_jumps", "sign-of-zero")]  # n_jumps is an integer
+
+
+@pytest.mark.parametrize("level, field, change", ONE_FIELD, ids=["-".join(map(str, case)) for case in ONE_FIELD])
+def test_a_row_that_differs_from_its_candidate_in_one_field_matches_reference_writer(
+        monkeypatch, level, field, change):
+    """The level's last node, below the second jump branch, is not its own candidate.  Its row
+    differs from its candidate's in ``field`` alone (``u_a`` and ``u_b`` are the columns of U):
+    by one, or as -0.0 where the level holds 0.0."""
+    tree, gen, sol = _level_constant_problem()
+    levels = _recorded_groups(monkeypatch)
+    _writer_bytes(tree, gen, sol, reference=False)
+    slot, cand, _ = levels[level]
+    last = len(slot) - 1
+    assert cand[slot[last]] != last
+    name = "u" if field.startswith("u_") else field
+    owner = {"w": "tree", "n_jumps": "tree", "h": "gen"}.get(name, "sol")
+    arrays = list(getattr({"tree": tree, "gen": gen, "sol": sol}[owner], name))
+    x = arrays[level] = arrays[level].copy()
+    if name == "u":
+        x = x[:, tree.marks.labels.index(field[2:])]
+    if change == "sign-of-zero":
+        x[...] = 0.0
+        x[last] = -0.0
+    else:
+        x[last] += 1
+    if owner == "tree":
+        tree = replace(tree, **{name: arrays})
+    elif owner == "gen":
+        gen = replace(gen, h=arrays)
+    else:
+        sol = replace(sol, **{name: arrays})
+    for chunk in (None, 5):
         new, ref = _writer_bytes(tree, gen, sol, chunk)
         assert new == ref
-        level_1 = new.decode().split("\r\n")[2:8]
-        assert len({row.split(",", 2)[2] for row in level_1}) == 2  # after the node index, two rows
 
 
-def test_one_row_per_batch_matches_reference_writer():
-    """With one row per batch, every field of every batch is constant over it."""
-    for sizes in ([1, 6, 6], [1, 3, 9, 27]):
-        tree, gen, sol = _flat_problem(sizes, y=_alternating([0.5, -1.0, 0.0], sizes, interior=False))
-        new, ref = _writer_bytes(tree, gen, sol, 1)
+def _distinct_rows(text: bytes) -> list:
+    """The number of distinct rows on each level of a solution.csv, node index aside."""
+    rows = {}
+    for row in text.decode().split("\r\n")[1:-1]:
+        level, _, tail = row.split(",", 2)
+        rows.setdefault(int(level), set()).add(tail)
+    return [len(rows[k]) for k in sorted(rows)]
+
+
+def _formatted_values(monkeypatch) -> list:
+    """The number of values of each ``_float_text`` call from here on."""
+    counts, real = [], cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda v: counts.append(len(v)) or real(v))
+    return counts
+
+
+def _values_per_file(tree, distinct) -> int:
+    """t once per level, then w, y, h, z, u..., dk, k_cum and residual of each distinct row (leaf rows:
+    w, y, h and k_cum)."""
+    width = [7 + tree.n_marks] * tree.n_steps + [4]
+    return sum(1 + d * w for d, w in zip(distinct, width))
+
+
+def test_equal_rows_under_different_parent_groups_are_formatted_once(monkeypatch):
+    """Up-then-down and down-then-up reach w = 0.0 bit for bit, below parents whose rows differ.
+    The two candidates are representatives with equal bits, so they share one group."""
+    tree = make_tree(2, 1.0, ("e1",), rate=0.0, n_brownian=2)
+    assert [tree.level_size(k) for k in range(3)] == [1, 2, 4]
+    assert tree.w[2][1] == tree.w[2][2] == 0.0 and tree.w[1][0] != tree.w[1][1]
+    sizes = [1, 2, 4]
+    sol = RbsdeSolution(y=[2 * w for w in tree.w], u=[np.zeros((n, 1)) for n in sizes[:-1]],
+                        z=[np.ones(n) for n in sizes[:-1]], dk=[np.zeros(n) for n in sizes[:-1]],
+                        k_cum=[np.zeros(n) for n in sizes], residual=[np.zeros(n) for n in sizes[:-1]])
+    gen = GeneratorSpec(xi=sol.y[-1], h=[w - 2.0 for w in tree.w])
+    counts = _formatted_values(monkeypatch)
+    new, ref = _writer_bytes(tree, gen, sol)
+    assert new == ref
+    assert _distinct_rows(new) == [1, 2, 3]
+    assert counts == [_values_per_file(tree, [1, 2, 3])]
+
+
+def test_a_level_where_no_candidate_matches_matches_reference_writer(monkeypatch):
+    """With a random Y, no row equals another, so every node but the candidates differs from its
+    candidate and stands for itself."""
+    run = cli._solve(parse_config(yaml.safe_load((CONFIGS / "picard_affine.yaml").read_text())))
+    rng = np.random.default_rng(3)
+    sol = replace(run.sol, y=[rng.normal(size=len(y)) for y in run.sol.y])
+    sizes = [run.tree.level_size(k) for k in range(run.tree.n_steps + 1)]
+    counts = _formatted_values(monkeypatch)
+    for chunk in (None, 1, 7):
+        counts.clear()
+        new, ref = _writer_bytes(run.tree, run.spec, sol, chunk)
         assert new == ref
-    raw = {"grid": {"n_steps": 2, "horizon": 1.0}, "marks": ["e1", "e2"],
-           "compensator": {"type": "linear", "rate": 0.7}, "terminal": {"w": 1.0, "n": 0.5},
-           "barrier": {"base": 0.2}}
-    new, ref, _ = _both_writers(raw, 1)
-    assert new == ref
+        assert _distinct_rows(new) == sizes
+        assert counts == [_values_per_file(run.tree, sizes)]
 
 
-def test_a_batch_with_no_fresh_rows_formats_nothing(monkeypatch):
-    """All rows of a level are alike, so with 3 rows per batch only batches [0, 3) (levels 0
-    and 1) and [6, 9) (level 2's first) hold a row the file has not formatted yet."""
-    formatted = []
-    real = cli._float_text
-    monkeypatch.setattr(cli, "_float_text", lambda v: formatted.append(len(v)) or real(v))
-    tree, gen, sol = _flat_problem([1, 6, 6])
-    new, ref = _writer_bytes(tree, gen, sol, 3)
+def test_branching_one_levels_and_a_jump_only_tree_match_reference_writer():
+    """A compensator flat on [0, 1] and [3, 4] gives a jump-only tree branching 1, 2, 2, 1."""
+    raw = {"grid": {"n_steps": 4, "horizon": 4.0}, "marks": ["e1"], "brownian": "none", "mode": "mpp-only",
+           "compensator": {"type": "piecewise", "breakpoints": [0.0, 1.0, 3.0, 4.0],
+                           "values": [0.0, 0.0, 1.2, 1.2], "phi_rows": [[1.0]] * 4},
+           "terminal": {"n": 1.0}, "barrier": {"base": 0.4}, "generator": {"f": {"const": 0.1, "n": 0.05}}}
+    run = cli._solve(parse_config(raw))
+    assert [run.tree.branching(k) for k in range(4)] == [1, 2, 2, 1]
+    for chunk in (None, 1, 3):
+        new, ref = _writer_bytes(run.tree, run.spec, run.sol, chunk)
+        assert new == ref
+
+
+@pytest.mark.parametrize("config", ["mpp_only", "picard_affine", "reflected_binomial"])
+def test_every_row_of_a_shipped_solve_joins_its_candidates_group(monkeypatch, config):
+    """The solve's fields are functions of the node state (and K of the path, which equal rows
+    share), so every row equals the same branch below the node that stands for its parent's
+    group: no row is a representative of its own."""
+    run = cli._solve(parse_config(yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())))
+    levels = _recorded_groups(monkeypatch)
+    new, ref = _writer_bytes(run.tree, run.spec, run.sol)
     assert new == ref
-    assert formatted == [2 * 9, 9]  # 8 + n_marks float fields per distinct row
+    for slot, cand, group in levels:
+        assert (group == group[cand[slot]]).all()
 
 
 def _leaf_rows(lo: int, hi: int):
-    """The text ``_csv_rows`` gives rows [lo, hi) of a one-level tree with ``hi`` leaves."""
-    n = np.broadcast_to(0.0, hi)
-    tree = SimpleNamespace(n_marks=1, n_steps=0, grid=SimpleNamespace(times=[0.0]), w=[n], n_jumps=[n])
-    sol = SimpleNamespace(y=[n], k_cum=[n])
-    return cli._csv_rows(tree, SimpleNamespace(h=[n]), sol, [(0, lo, hi)], {}).split("\r\n")[:-1]
+    """The text ``_node_rows`` gives leaf rows [lo, hi) of a one-level tree, each with an all-zero tail."""
+    return cli._node_rows(0, lo, [",0.0,0.0,0,0.0,0.0,,,,0.0,\r\n"] * (hi - lo)).split("\r\n")[:-1]
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 7), (990, 2010), (999_990, 1_000_011), (12_345_670, 12_345_680)])
@@ -311,15 +378,13 @@ def test_batches_that_split_thousand_blocks_and_levels_match_reference_writer():
         assert _writer_bytes(tree, gen, sol, chunk, reference=False)[0] == ref
 
 
-def test_each_distinct_row_is_formatted_once_per_file(monkeypatch):
+def test_each_distinct_row_of_a_level_is_formatted_once(monkeypatch):
+    """Among the leaf-heavy tree's rows, up-then-down and down-then-up give equal rows below
+    different parent groups; with 999 rows per slice, the leaf level spans 66 slices."""
     tree, gen, sol = _leaf_heavy_problem()
-    formatted = []
-    real = cli._float_text
-    monkeypatch.setattr(cli, "_float_text", lambda v: formatted.append(len(v)) or real(v))
+    counts = _formatted_values(monkeypatch)
     new = _writer_bytes(tree, gen, sol, 999, reference=False)[0]
-    # A row's text after its node index, with its level, is fixed by its bits.
-    distinct = {(row.split(",", 2)[0], row.split(",", 2)[2]) for row in new.decode().split("\r\n")[1:-1]}
-    assert sum(formatted) == len(distinct) * (8 + tree.n_marks)
+    assert counts == [_values_per_file(tree, _distinct_rows(new))]
 
 
 SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-05, 1e16, 0.1, 123456789.0]

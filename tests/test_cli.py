@@ -350,18 +350,28 @@ PIECEWISE = {
         ("grid", "horizon", True, "grid.horizon"),
         ("beta", None, True, "beta"),
         ("out", None, 5, "out"),
+        # L_U = |fb| max|fc| and L_Z = |gz| whose squares overflow a float; L_U names its larger factor.
+        ("generator", "fb", 1e300, "generator.fb"),
+        ("generator", "fc", [1e300, 1.0], "generator.fc"),
+        ("generator", "fc", [1.0, 1e300], "generator.fc"),
+        ("generator", "gz", 1e300, "generator.gz"),
     ],
 )
 def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, key, value, fieldname):
-    """A bad field exits 2 with its dotted path on stderr and writes nothing.
+    """A bad field exits 2 with its dotted path on stderr, no traceback, and writes nothing.
 
     ``key`` None replaces the whole ``section``; otherwise ``key`` is set
-    inside it.  Every verb that reads the field is run.
+    inside it.  The affine generator's coefficients are set in the shipped
+    picard-mode config, the only mode that reads them.  Every verb that
+    reads the field is run.
     """
-    raw = {**BASE, section: value if key is None else {**BASE.get(section, {}), key: value}}
-    for verb in ("simulate", "solve") if section == "simulate" else ("solve",):
+    affine = section == "generator" and key in (*cli.AFFINE_KEYS, "fc")
+    base = yaml.safe_load((CONFIGS / "picard_affine.yaml").read_text()) if affine else BASE
+    raw = {**base, section: value if key is None else {**base.get(section, {}), key: value}}
+    verbs = ("simulate", "solve") if section == "simulate" else ("solve", "norms") if affine else ("solve",)
+    for verb in verbs:
         code, err = _exit_and_error(tmp_path, capsys, raw, verb)
-        assert code == 2 and f"config error: {fieldname}:" in err
+        assert code == 2 and f"config error: {fieldname}:" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "summary.json").exists()
 
 

@@ -372,4 +372,5 @@ def test_a_picard_beta_that_parses_passes_the_contraction_check(tmp_path, capsys
         assert err == ""
     else:
         assert err.startswith("config error: beta: picard mode needs beta > ") and "0.4100000000041" in err
+        assert "np.float64" not in err
         assert not (tmp_path / "run").exists()
