@@ -283,11 +283,16 @@ def parse_config(raw: dict) -> RunConfig:
         # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
         # so with this L_U any beta that passes here passes picard's own check.
         fc = max(abs(x) for x in affine["fc"])
-        l_u = abs(affine["fb"]) * fc
+        l_u, l_f = abs(affine["fb"]) * fc, abs(affine["fa"])
+        u_field = "generator.fb" if abs(affine["fb"]) >= fc else "generator.fc"
         if not math.isfinite(l_u * l_u):
-            raise ConfigInvalid("generator.fb" if abs(affine["fb"]) >= fc else "generator.fc",
-                                f"L_U = |fb| max|fc| = {l_u!r} overflows L_U^2 in picard mode's beta bound")
-        minimal = float(beta_requirement(LipschitzConstants(l_f=abs(affine["fa"]), l_u=l_u)))
+            raise ConfigInvalid(u_field, f"L_U = |fb| max|fc| = {l_u!r} overflows L_U^2 in picard mode's beta bound")
+        minimal = float(beta_requirement(LipschitzConstants(l_f=l_f, l_u=l_u)))
+        if not math.isfinite(minimal):  # no beta can pass: name the field of the larger term
+            f_term = 2 * l_f / math.sqrt(ALPHA_MAX)
+            raise ConfigInvalid("generator.fa" if f_term >= l_u * l_u / ALPHA_MAX else u_field,
+                                f"L_U^2/alpha + 2 L_f/sqrt(alpha) with L_U = {l_u!r} and L_f = |fa| = {l_f!r}"
+                                f" overflows picard mode's beta bound at alpha = {ALPHA_MAX!r}")
         if cfg.beta <= minimal:
             raise ConfigInvalid(
                 "beta",
@@ -474,7 +479,7 @@ def _level_groups(columns, slot, cand):
         return [lead.setdefault(row, (len(lead), node))[0] for row, node in zip(rows, nodes.tolist())]
 
     cand_keys = np.array([c[cand] for c in columns], dtype=np.float64)
-    group = np.array(join(cand_keys, cand))[slot]
+    group = np.array(join(cand_keys, cand), dtype=np.int32)[slot]
     for lo in range(0, len(slot), CSV_CHUNK_ROWS):
         keys = np.array([c[lo:lo + CSV_CHUNK_ROWS] for c in columns], dtype=np.float64)
         fresh = np.flatnonzero((cand_keys.view(np.uint64).take(slot[lo:lo + CSV_CHUNK_ROWS], axis=1)
@@ -514,6 +519,7 @@ def write_solution_csv(out_dir: Path, tree: ScenarioTree, gen: GeneratorSpec, so
         columns = [tree.w[k], sol.y[k], gen.h[k], *inner, tree.n_jumps[k]]
         slot, cand = np.add.outer(group * len(b), b).ravel(), np.add.outer(first * len(b), b).ravel()
         group, first, keys = _level_groups(columns, slot, cand)
+        del slot, cand  # the leaf level's would otherwise outlive the formatting below
         levels.append((group, keys))
         floats += [tree.grid.times[k:k + 1], keys[:, :-1].ravel()]
     text = _float_text(np.concatenate(floats))  # per level: t, then the float fields of each group
@@ -549,19 +555,15 @@ def write_trace_csv(out_dir: Path, distances):
 # Checks shared by the solve-family verbs
 # ---------------------------------------------------------------------------
 def run_checks(tree, sol, spec: GeneratorSpec, beta: float):
-    """Every applicable check of ``sol``, which solves ``spec``, and the envelope route's stopped reward."""
+    """Every applicable check of ``sol``, which solves ``spec``, and the envelope route's stopped reward.
+
+    The checks run in this order: minimal push, equation residual, the a priori majorant (for
+    beta > 0), then the envelope route with its gap to ``sol`` and where its push sits.  The route
+    comes last so that its stopped reward, which is returned, is not alive while the majorant runs.
+    """
     checks = {
         "minimal_push": check_skorohod(tree, sol, spec.h),
         "equation_residual": check_equation_residual(tree, sol, spec)[0],
-    }
-    y, envelope, dk, eta = solve_via_snell(tree, spec)
-    gap = max(float(np.max(np.abs(sol.y[k] - y[k]))) for k in range(tree.n_steps + 1))
-    support = envelope_jump_support(tree, envelope, dk, eta)
-    del y, envelope, dk  # the route's Y, envelope and push, freed before the majorant builds its own
-    checks["route_equivalence"] = {"passed": bool(gap <= ROUTE_TOL), "max_gap": gap}
-    checks["push_only_on_contact"] = {
-        "passed": not support,
-        "violations": [list(v) for v in support[:10]],
     }
     if beta > 0:
         viols = a_priori_majorant(tree, spec, sol, beta=beta)
@@ -569,6 +571,17 @@ def run_checks(tree, sol, spec: GeneratorSpec, beta: float):
             "passed": not viols,
             "violations": [list(v) for v in viols[:10]],
         }
+    y, envelope, dk, eta = solve_via_snell(tree, spec)
+    support = envelope_jump_support(tree, envelope, dk, eta)
+    # The route's Y is read only here, so each level's |gap| is formed in Y's own array.
+    for k in range(tree.n_steps + 1):
+        np.abs(np.subtract(sol.y[k], y[k], out=y[k]), out=y[k])
+    gap = max(float(np.max(y[k])) for k in range(tree.n_steps + 1))
+    checks["route_equivalence"] = {"passed": bool(gap <= ROUTE_TOL), "max_gap": gap}
+    checks["push_only_on_contact"] = {
+        "passed": not support,
+        "violations": [list(v) for v in support[:10]],
+    }
     return checks, eta
 
 
@@ -717,6 +730,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     tree, sol, spec, contraction, trace = _solve(cfg)
     checks, eta = run_checks(tree, sol, spec, cfg.beta)
     stopping = run_stopping(tree, spec, sol, eta, cfg.epsilons, cfg.oracle)
+    del eta  # a leaf-sized process per level, not to be alive while the norms and solution.csv are made
     verdicts = {}
     summary = {
         "config": cfg.echo(),
@@ -761,7 +775,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigInvalid(
             "grid.n_steps", f"{n_interior} interior nodes exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    sol = solve_given_generators(tree, spec)
+    sol = solve_given_generators(tree, spec, integrands_only=True)  # only Y_0 is read
     cert = brute_force_value(tree, reward_process(tree, spec), keep_table=False)
     y0 = float(sol.y[0][0])
     gap = abs(y0 - cert.value)

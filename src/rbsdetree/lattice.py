@@ -271,11 +271,15 @@ def extract_representation(tree: ScenarioTree, k: int, v_next: np.ndarray) -> Re
     mark = tree.branch_mark[k]
     dw = tree.branch_dw[k]
     q = tree.jump_prob[k] * tree.phi[k]
+    # Two (n_k, b) buffers: the spanned part, summed in place, and the branch residual.
     span = rep.z[:, None] * dw[None, :]
+    branch_residual = np.empty_like(span)
     for e in range(tree.n_marks):
-        span = span + rep.u[:, e, None] * ((mark == e).astype(float) - q[e])[None, :]
-    branch_residual = v_next.reshape(span.shape) - rep.mean[:, None] - span
-    residual = np.sqrt(np.maximum(branch_residual**2 @ tree.branch_prob[k], 0.0))
+        span += np.multiply(rep.u[:, e, None], ((mark == e).astype(float) - q[e])[None, :], out=branch_residual)
+    np.subtract(v_next.reshape(span.shape), rep.mean[:, None], out=branch_residual)
+    branch_residual -= span
+    del span
+    residual = np.sqrt(np.maximum(np.square(branch_residual, out=branch_residual) @ tree.branch_prob[k], 0.0))
     return replace(rep, residual=residual)
 
 

@@ -147,14 +147,16 @@ def solve_via_snell(tree: ScenarioTree, gen: GeneratorSpec):
 
     Returns (y, R, dk, eta): eta is ``reward_process``, dk the increments of
     R's increasing part (``doob_meyer``; ``tree.path_sum(dk)`` is K) and Y
-    is R minus the running gains.
+    is R minus the running gains, written over the running gains' own arrays.
     """
     gen.validate(tree)
     cum = running_gains(tree, gen.f_levels, gen.g_levels)
     eta = _stopped_reward(gen, cum)
     envelope = snell_envelope(tree, eta)
     dk = doob_meyer(tree, envelope)
-    return [envelope[k] - cum[k] for k in range(tree.n_steps + 1)], envelope, dk, eta
+    for k in range(tree.n_steps + 1):
+        np.subtract(envelope[k], cum[k], out=cum[k])
+    return cum, envelope, dk, eta
 
 
 def check_skorohod(tree: ScenarioTree, sol: RbsdeSolution, h: NodeProcess) -> dict:
@@ -188,17 +190,18 @@ def check_equation_residual(tree: ScenarioTree, sol: RbsdeSolution, gen: Generat
         mark = tree.branch_mark[k]
         q = tree.jump_prob[k] * tree.phi[k]
         dq = np.stack([(mark == e).astype(float) - q[e] for e in range(tree.n_marks)])
-        rhs = (
-            ynext
-            + (gen.f_levels[k] * tree.da[k] + gen.g_levels[k] * tree.grid.steps[k] + sol.dk[k])[:, None]
-            - sol.u[k] @ dq
-            - sol.z[k][:, None] * tree.branch_dw[k][None, :]
-        )
-        res = sol.y[k][:, None] - rhs
-        max_res = max(max_res, float(np.max(np.abs(res))))
+        # One (n_k, b) buffer turns from the right-hand side into the residual, and a second
+        # holds each subtracted term: Y_{k+1} + drift - U dq - Z dW, then Y_k minus that.
+        res = ynext + (gen.f_levels[k] * tree.da[k] + gen.g_levels[k] * tree.grid.steps[k] + sol.dk[k])[:, None]
+        term = sol.u[k] @ dq
+        res -= term
+        res -= np.multiply(sol.z[k][:, None], tree.branch_dw[k][None, :], out=term)
+        del term
+        np.subtract(sol.y[k][:, None], res, out=res)
+        max_res = max(max_res, float(res.max()), -float(res.min()))
         cmean = res @ tree.branch_prob[k]
         max_cmean = max(max_cmean, float(np.max(np.abs(cmean))))
-        l2 = np.sqrt(np.maximum(res**2 @ tree.branch_prob[k], 0.0))
+        l2 = np.sqrt(np.maximum(np.square(res, out=res) @ tree.branch_prob[k], 0.0))
         max_mismatch = max(max_mismatch, float(np.max(np.abs(l2 - sol.residual[k]))))
     record = {
         "passed": bool(max_cmean <= EQUATION_TOL and max_mismatch <= EQUATION_TOL),
@@ -216,37 +219,50 @@ def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution
         + sum e^{beta A/2}|g| dt + max e^{beta A/2}|h|,
     with the f-integral weighted at the right endpoint of each step so the
     Cauchy-Schwarz bound it certifies holds on any grid.  Returns the list of
-    violating (level, node, lhs, rhs) tuples; empty means the bound holds.
+    violating (level, node, lhs, rhs) tuples, level N first; empty means the
+    bound holds.
+
+    One level and one path functional are alive at a time: each functional
+    is run forward to the leaves as ``tree.path_sum`` runs it and added into
+    the leaf value, in the order written above, before the next one starts;
+    S is then taken back one level at a time and checked on the way.
     """
     a = tree.a_levels
     n = tree.n_steps
-
     has_f = any(bool(np.any(gen.f_levels[k] != 0)) for k in range(n))
-    f_sq = tree.path_sum(np.exp(beta * a[k + 1]) * gen.f_levels[k] ** 2 * tree.da[k] for k in range(n))
-    g_abs = tree.path_sum(
-        np.exp(beta * a[k] / 2) * np.abs(gen.g_levels[k]) * tree.grid.steps[k] for k in range(n)
-    )
-    h_max = [np.exp(beta * a[0] / 2) * np.abs(gen.h[0])]
-    for k in range(n):
-        h_max.append(
-            np.maximum(
-                tree.repeat_to_children(h_max[k], k),
-                np.exp(beta * a[k + 1] / 2) * np.abs(gen.h[k + 1]),
-            )
-        )
     if has_f and beta <= 0:
         raise BetaZero("the f-term of the majorant needs beta > 0")
-    f_term = np.sqrt(f_sq[-1]) / np.sqrt(beta) if has_f else np.zeros(tree.n_leaves)
-    zeta = np.exp(beta * a[-1] / 2) * np.abs(gen.xi) + f_term + g_abs[-1] + h_max[-1]
 
-    s = [None] * (n + 1)
-    s[n] = zeta
+    def to_leaves(increments) -> np.ndarray:
+        cum = np.zeros(1)
+        for k, inc in enumerate(increments):
+            cum = tree.repeat_to_children(cum + inc, k)
+        return cum
+
+    s = np.abs(gen.xi)
+    s *= np.exp(beta * a[-1] / 2)
+    if has_f:
+        term = to_leaves(np.exp(beta * a[k + 1]) * gen.f_levels[k] ** 2 * tree.da[k] for k in range(n))
+        np.sqrt(term, out=term)
+        term /= np.sqrt(beta)
+        s += term
+        del term
+    s += to_leaves(np.exp(beta * a[k] / 2) * np.abs(gen.g_levels[k]) * tree.grid.steps[k] for k in range(n))
+    h_max = np.exp(beta * a[0] / 2) * np.abs(gen.h[0])
+    for k in range(n):
+        weighted = np.abs(gen.h[k + 1])
+        weighted *= np.exp(beta * a[k + 1] / 2)
+        h_max = np.maximum(tree.repeat_to_children(h_max, k), weighted, out=weighted)
+    s += h_max
+    del h_max, weighted
+
     violations = []
     for k in range(n, -1, -1):
         if k < n:
-            s[k] = cexp_level(tree, k, s[k + 1])
-        lhs = np.exp(beta * a[k] / 2) * np.abs(sol.y[k])
-        bad = lhs > s[k] + MAJORANT_TOL
+            s = cexp_level(tree, k, s)
+        lhs = np.abs(sol.y[k])
+        lhs *= np.exp(beta * a[k] / 2)
+        bad = lhs > s + MAJORANT_TOL
         for i in np.flatnonzero(bad):
-            violations.append((k, int(i), float(lhs[i]), float(s[k][i])))
+            violations.append((k, int(i), float(lhs[i]), float(s[i])))
     return violations

@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -355,6 +358,8 @@ PIECEWISE = {
         ("generator", "fc", [1e300, 1.0], "generator.fc"),
         ("generator", "fc", [1.0, 1e300], "generator.fc"),
         ("generator", "gz", 1e300, "generator.gz"),
+        # 2 L_f/sqrt(alpha) = 2 |fa|/sqrt(alpha) overflows, so no beta passes picard mode's bound.
+        ("generator", "fa", 1e308, "generator.fa"),
     ],
 )
 def test_non_numeric_field_exits_2_naming_the_field(tmp_path, capsys, section, key, value, fieldname):
@@ -583,3 +588,72 @@ def test_a_huge_step_count_exits_2_with_a_short_message(tmp_path, capsys, n_step
     code, err = _exit_and_error(tmp_path, capsys, raw)
     assert code == 2 and "generator.budget" in err and "Traceback" not in err
     assert len(err.strip()) < 200, err
+
+
+def test_the_oracle_verb_solves_for_y0_alone(tmp_path):
+    """``oracle`` reads only Y_0, so it leaves out the representation residual, whose square
+    overflows on this payoff of size 1e300; the certificate's gap still fails the run."""
+    raw = yaml.safe_load((CONFIGS / "mpp_only.yaml").read_text())
+    raw["terminal"] = {"const": 0.0, "n": 1.0e300}
+    path = _write(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["oracle", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["gap"] > 0 and not summary["all_passed"]
+
+
+@pytest.fixture(scope="module")
+def picard_six_steps():
+    """``picard_affine.yaml`` at 6 steps (46,656 leaves), solved: (tree, sol, spec, beta)."""
+    raw = yaml.safe_load((CONFIGS / "picard_affine.yaml").read_text())
+    raw["grid"]["n_steps"] = 6
+    run = cli._solve(parse_config(raw))
+    assert run.tree.n_leaves == 46_656
+    return run.tree, run.sol, run.spec, raw["beta"]
+
+
+@pytest.mark.parametrize(
+    "check, bound",
+    [
+        (lambda tree, sol, spec, beta: cli.run_checks(tree, sol, spec, beta), 5.0),
+        (lambda tree, sol, spec, beta: cli.a_priori_majorant(tree, spec, sol, beta), 4.0),
+        (lambda tree, sol, spec, beta: cli.check_equation_residual(tree, sol, spec), 3.0),
+    ],
+    ids=["run_checks", "a_priori_majorant", "check_equation_residual"],
+)
+def test_a_check_holds_few_leaf_sized_arrays_at_once(picard_six_steps, check, bound):
+    """The traced peak above the memory live at the call, in arrays of one float per leaf.
+
+    The majorant keeps one level of one path functional at a time, the equation residual one
+    (n_k, b) buffer and one term, and ``run_checks`` runs the majorant before the envelope route.
+    """
+    tree, sol, spec, beta = picard_six_steps
+    tracemalloc.start()
+    try:
+        check(tree, sol, spec, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leaf_arrays = peak / (8 * tree.n_leaves)
+    assert leaf_arrays < bound, leaf_arrays
+
+
+def test_solve_drops_the_stopped_reward_before_the_norms_and_solution_csv(tmp_path, monkeypatch):
+    """η, one array per level, is read by the stopping checks alone."""
+    levels, alive = [], []
+    real_checks = cli.run_checks
+
+    def run_checks(*args):
+        checks, eta = real_checks(*args)
+        levels.extend(weakref.ref(level) for level in eta)
+        return checks, eta
+
+    def watch(real):
+        return lambda *args: alive.append(any(ref() is not None for ref in levels)) or real(*args)
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    monkeypatch.setattr(cli, "norm_table", watch(cli.norm_table))
+    monkeypatch.setattr(cli, "write_solution_csv", watch(cli.write_solution_csv))
+    assert main(["solve", "--config", str(CONFIGS / "picard_affine.yaml"), "--out", str(tmp_path / "run")]) == 0
+    assert levels and alive == [False, False]

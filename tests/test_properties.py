@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rbsdetree import (
     GeneratorSpec,
     StoppingRule,
+    a_priori_majorant,
     check_skorohod,
     k_flatness_before_stop,
     reward_of_rule,
@@ -20,6 +21,8 @@ from rbsdetree import (
 )
 from rbsdetree.cli import norm_table
 from rbsdetree.instances import make_tree
+from rbsdetree.lattice import cexp_level
+from rbsdetree.rbsde import MAJORANT_TOL
 from rbsdetree.verify import filtration_gap, w_free_pair
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -171,3 +174,56 @@ def test_norm_table_reports_z_iff_the_tree_has_brownian_branching(problem, beta,
     tree, gen = problem
     table = norm_table(tree, solve_given_generators(tree, gen), beta, gamma)
     assert ("Z_W" in table) == (tree.n_brownian == 2)
+
+
+def _majorant_by_lists(tree, gen, sol, beta):
+    """The a priori majorant as it was first written, holding every level of each path
+    functional and of S at once: the reference for the streamed ``a_priori_majorant``."""
+    a = tree.a_levels
+    n = tree.n_steps
+    has_f = any(bool(np.any(gen.f_levels[k] != 0)) for k in range(n))
+    f_sq = tree.path_sum(np.exp(beta * a[k + 1]) * gen.f_levels[k] ** 2 * tree.da[k] for k in range(n))
+    g_abs = tree.path_sum(
+        np.exp(beta * a[k] / 2) * np.abs(gen.g_levels[k]) * tree.grid.steps[k] for k in range(n)
+    )
+    h_max = [np.exp(beta * a[0] / 2) * np.abs(gen.h[0])]
+    for k in range(n):
+        h_max.append(
+            np.maximum(
+                tree.repeat_to_children(h_max[k], k),
+                np.exp(beta * a[k + 1] / 2) * np.abs(gen.h[k + 1]),
+            )
+        )
+    f_term = np.sqrt(f_sq[-1]) / np.sqrt(beta) if has_f else np.zeros(tree.n_leaves)
+    zeta = np.exp(beta * a[-1] / 2) * np.abs(gen.xi) + f_term + g_abs[-1] + h_max[-1]
+    s = [None] * (n + 1)
+    s[n] = zeta
+    violations = []
+    for k in range(n, -1, -1):
+        if k < n:
+            s[k] = cexp_level(tree, k, s[k + 1])
+        lhs = np.exp(beta * a[k] / 2) * np.abs(sol.y[k])
+        bad = lhs > s[k] + MAJORANT_TOL
+        for i in np.flatnonzero(bad):
+            violations.append((k, int(i), float(lhs[i]), float(s[k][i])))
+    return violations
+
+
+@SETTINGS
+@given(problem=problems(), beta=st.sampled_from([0.5, 1.0, 2.0]), scale=st.sampled_from([1.0, 0.1, 0.0]))
+def test_the_streamed_majorant_gives_the_list_based_violations_bit_for_bit(problem, beta, scale):
+    """Y of the problem against the majorant of its data scaled by ``scale``: scaled down, the
+    bound fails at some nodes, and at scale 0 (no f) wherever Y is not 0."""
+    tree, gen = problem
+    sol = solve_given_generators(tree, gen)
+    scaled = GeneratorSpec(
+        xi=scale * gen.xi,
+        h=[scale * x for x in gen.h],
+        f_levels=[scale * x for x in gen.f_levels],
+        g_levels=[scale * x for x in gen.g_levels],
+    )
+    got, want = a_priori_majorant(tree, scaled, sol, beta), _majorant_by_lists(tree, scaled, sol, beta)
+    assert [(k, i, lhs.hex(), rhs.hex()) for k, i, lhs, rhs in got] == [
+        (k, i, lhs.hex(), rhs.hex()) for k, i, lhs, rhs in want
+    ]
+    assert got or scale > 0
