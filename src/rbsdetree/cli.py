@@ -32,11 +32,11 @@ import yaml
 
 from . import _kernels
 from .errors import BudgetExceeded, ConfigInvalid, EnumerationBudgetExceeded, RbsdeTreeError
-from .instances import affine_generators, linear_barrier, state_levels, terminal_payoff
+from .instances import affine_generators, kernel_norm, linear_barrier, state_levels, terminal_payoff
 from .lattice import DEFAULT_NODE_BUDGET, ScenarioTree, TimeGrid, build_tree
 from .mpp import CompensatorSpec, MarkSet, counting_process, simulate_path
-from .picard import ALPHA_MAX, RATE_SLACK, ContractionConfig, LipschitzConstants, PicardTrace
-from .picard import StateGenerators, beta_requirement, gamma_terms, picard_solve, select_contraction_parameters
+from .picard import ALPHA_MAX, RATE_BOUND, ContractionConfig, LipschitzConstants, PicardTrace
+from .picard import StateGenerators, beta_terms, gamma_terms, picard_solve, select_contraction_parameters
 from .rbsde import (
     BARRIER_TOL,
     ROUTE_TOL,
@@ -280,25 +280,22 @@ def parse_config(raw: dict) -> RunConfig:
     if cfg.tol <= 0:
         raise ConfigInvalid("picard.tol", "must be > 0")
     if mode == "picard":
-        # The kernel norm needs a tree; a probability kernel makes it <= max|fc|,
-        # so with this L_U any beta that passes here passes picard's own check.
-        fc = max(abs(x) for x in affine["fc"])
-        l_u, l_f = abs(affine["fb"]) * fc, abs(affine["fa"])
-        u_field = "generator.fb" if abs(affine["fb"]) >= fc else "generator.fc"
+        # L_U as ``affine_generators`` makes it, over every kernel of the compensator: the
+        # tree's kernels are among them, so any beta that passes here passes picard's own check.
+        l_u, l_f = abs(affine["fb"]) * kernel_norm(affine["fc"], cfg.compensator.kernels), abs(affine["fa"])
+        u_field = "generator.fb" if abs(affine["fb"]) >= max(abs(x) for x in affine["fc"]) else "generator.fc"
         if not math.isfinite(l_u * l_u):
-            raise ConfigInvalid(u_field, f"L_U = |fb| max|fc| = {l_u!r} overflows L_U^2 in picard mode's beta bound")
-        minimal = float(beta_requirement(LipschitzConstants(l_f=l_f, l_u=l_u)))
+            raise ConfigInvalid(u_field, f"L_U = |fb| times fc's kernel norm = {l_u!r} overflows L_U^2"
+                                " in picard mode's beta bound")
+        u_term, f_term = beta_terms(LipschitzConstants(l_f=l_f, l_u=l_u))
+        minimal = float(u_term + f_term)
         if not math.isfinite(minimal):  # no beta can pass: name the field of the larger term
-            f_term = 2 * l_f / math.sqrt(ALPHA_MAX)
-            raise ConfigInvalid("generator.fa" if f_term >= l_u * l_u / ALPHA_MAX else u_field,
+            raise ConfigInvalid("generator.fa" if f_term >= u_term else u_field,
                                 f"L_U^2/alpha + 2 L_f/sqrt(alpha) with L_U = {l_u!r} and L_f = |fa| = {l_f!r}"
                                 f" overflows picard mode's beta bound at alpha = {ALPHA_MAX!r}")
         if cfg.beta <= minimal:
-            raise ConfigInvalid(
-                "beta",
-                f"picard mode needs beta > L_U^2/alpha + 2 L_f/sqrt(alpha) = {minimal!r} at alpha = {ALPHA_MAX!r},"
-                f" got {cfg.beta!r}",
-            )
+            raise ConfigInvalid("beta", f"picard mode needs beta > L_U^2/alpha + 2 L_f/sqrt(alpha) = {minimal!r}"
+                                        f" at alpha = {ALPHA_MAX!r}, got {cfg.beta!r}")
     return cfg
 
 
@@ -690,15 +687,17 @@ def _contraction(tree: ScenarioTree, state: StateGenerators, cfg: RunConfig) -> 
     l_z = state.lipschitz.l_z
     if not math.isfinite(l_z * l_z):
         raise ConfigInvalid("generator.gz", f"L_Z = |gz| = {l_z!r} overflows L_Z^2 in the weight's gamma")
-    terms = gamma_terms(state.lipschitz)
-    gamma = sum(terms) + 1.0
+    try:
+        contraction = select_contraction_parameters(state.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol)
+    except ValueError as exc:  # gamma lost the one
+        raise ConfigInvalid(_gamma_field(state), str(exc)) from None
     with np.errstate(over="ignore"):  # an infinite weight is named below
-        weight = np.exp(cfg.beta * tree.a_levels[-2] + gamma * tree.grid.times[-2])
-    if not (np.isfinite(weight) and gamma > sum(terms)):
+        weight = np.exp(cfg.beta * tree.a_levels[-2] + contraction.gamma * tree.grid.times[-2])
+    if not np.isfinite(weight):
         raise ConfigInvalid(_gamma_field(state),
-                            f"gamma = {float(gamma)!r}, one above its Lipschitz threshold, is too large "
+                            f"gamma = {float(contraction.gamma)!r}, one above its Lipschitz threshold, is too large "
                             "for the fixed-point weight e^(beta A + gamma t)")
-    return select_contraction_parameters(state.lipschitz, cfg.beta, max_iter=cfg.max_iter, tol=cfg.tol)
+    return contraction
 
 
 def _solve(cfg: RunConfig) -> Solved:
@@ -739,13 +738,12 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         "y0": float(sol.y[0][0]),
     }
     if trace is not None:
-        bound = contraction.alpha + RATE_SLACK
-        verdicts["picard.contraction_rate"] = all(r <= bound for r in trace.late_ratios)
+        verdicts["picard.contraction_rate"] = all(r <= RATE_BOUND for r in trace.late_ratios)
         summary["contraction"] = {
-            "alpha": contraction.alpha,
+            "alpha": ALPHA_MAX,
             "beta": contraction.beta,
             "gamma": contraction.gamma,
-            "rate_bound": bound,
+            "rate_bound": RATE_BOUND,
             "iterations": len(trace.distances),
             "distances": [float(d) for d in trace.distances],
         }

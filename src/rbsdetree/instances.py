@@ -73,9 +73,15 @@ def affine_generators(
             base = base + g_offset[k]
         return base + np.zeros(tree.level_size(k))
 
-    kernel_norm = max(float(np.sqrt(fc**2 @ tree.phi[k])) for k in range(tree.n_steps))
-    lip = LipschitzConstants(l_f=abs(fa), l_u=abs(fb) * kernel_norm, l_g=abs(ga), l_z=abs(gz))
+    lip = LipschitzConstants(l_f=abs(fa), l_u=abs(fb) * kernel_norm(fc, tree.phi), l_g=abs(ga), l_z=abs(gz))
     return StateGenerators(f_state, g_state, lip)
+
+
+def kernel_norm(fc, kernels) -> float:
+    """The largest (sum_e fc(e)^2 phi(e))^{1/2} over the rows phi of ``kernels``; inf or nan where fc^2 overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.square(np.asarray(fc, dtype=float))
+        return float(np.sqrt(np.max([sq @ row for row in kernels])))
 
 
 def terminal_payoff(tree: ScenarioTree, const=0.0, w=0.0, n=0.0, wn=0.0) -> np.ndarray:

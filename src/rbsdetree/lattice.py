@@ -121,6 +121,13 @@ class ScenarioTree:
             cum.append(self.repeat_to_children(cum[k] + inc, k))
         return cum
 
+    def leaf_sum(self, increments) -> np.ndarray:
+        """S_N of ``path_sum(increments)``, with one level of S alive at a time."""
+        cum = np.zeros(1)
+        for k, inc in enumerate(increments):
+            cum = self.repeat_to_children(cum + inc, k)
+        return cum
+
     def ancestor_index(self, k: int, level: int) -> np.ndarray:
         """Index of the level-``k`` ancestor of each node at ``level`` >= k."""
         stride = 1
@@ -222,8 +229,9 @@ class Representation:
     ``z`` is the Brownian integrand, ``u`` the mark-indexed jump integrand
     (conditional-jump differences), ``residual`` the L2 norm under the child
     measure of the part not spanned by dW and the compensated jump
-    indicators; None when only the integrands were asked for.  Where a conditioning
-    event has probability zero, u is zero for every mark.
+    indicators; None when only the integrands were asked for.  u is zero for a mark
+    whose event has probability zero, and measured from the conditional mean, not
+    from the no-jump event, where no-jump has probability zero.
     """
 
     mean: np.ndarray
@@ -248,9 +256,10 @@ def representation_integrands(tree: ScenarioTree, k: int, v_next: np.ndarray) ->
 
     u = np.zeros((n_k, tree.n_marks))
     if tree.jump_prob[k] > 0:
-        no_jump = mark < 0
-        w0 = p * no_jump
-        cond_nojump = (vmat @ w0) / w0.sum()
+        w0 = p * (mark < 0)
+        p0 = w0.sum()
+        # Where no-jump has probability 0, u is fixed only up to a constant: measure it from the mean.
+        cond_nojump = (vmat @ w0) / p0 if p0 > 0 else mean
         for e in range(tree.n_marks):
             sel = mark == e
             we = p * sel

@@ -38,11 +38,13 @@ class CompensatorSpec:
     """Cumulative compensator A(t) and mark kernel phi(t) on a finite mark set.
 
     ``a_fn`` maps time to the cumulative compensator value (A(0) = 0,
-    nondecreasing).  ``phi_fn`` maps time to a probability vector over marks.
+    nondecreasing).  ``phi_fn`` maps time to a probability vector over marks,
+    one of the rows of ``kernels``.
     """
 
     a_fn: Callable[[float], float]
     phi_fn: Callable[[float], np.ndarray]
+    kernels: np.ndarray
 
     @staticmethod
     def linear(rate: float, phi: Sequence[float]) -> "CompensatorSpec":
@@ -50,7 +52,7 @@ class CompensatorSpec:
         if rate < 0:
             raise NonMonotoneCompensator(f"negative rate {rate}")
         p = _check_kernel(np.asarray(phi, dtype=float))
-        return CompensatorSpec(lambda t: rate * t, lambda t: p)
+        return CompensatorSpec(lambda t: rate * t, lambda t: p, p[None, :])
 
     @staticmethod
     def piecewise(
@@ -86,7 +88,7 @@ class CompensatorSpec:
             i = int(np.searchsorted(bp, t, side="right")) - 1
             return rows[max(i, 0)]
 
-        return CompensatorSpec(a_fn, phi_fn)
+        return CompensatorSpec(a_fn, phi_fn, rows)
 
     def increments(self, times: np.ndarray) -> np.ndarray:
         """Compensator increments over the grid steps; raises on decrease."""

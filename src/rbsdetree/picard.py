@@ -28,6 +28,7 @@ from .wnorm import WeightedNorm, norm_sq
 
 ALPHA_MAX = 1.0 - 1e-9
 RATE_SLACK = 0.05  # how far a late ratio of successive distances may exceed alpha
+RATE_BOUND = ALPHA_MAX + RATE_SLACK  # the bound on ``PicardTrace.late_ratios``
 
 
 class LipschitzConstants(NamedTuple):
@@ -51,23 +52,22 @@ class StateGenerators(NamedTuple):
     lipschitz: LipschitzConstants
 
 
-def beta_requirement(lip: LipschitzConstants, alpha: float = ALPHA_MAX) -> float:
-    """L_U^2/alpha + 2 L_f/sqrt(alpha): beta must exceed it."""
-    return lip.l_u**2 / alpha + 2 * lip.l_f / np.sqrt(alpha)
+def beta_terms(lip: LipschitzConstants) -> tuple:
+    """(L_U^2/alpha, 2 L_f/sqrt(alpha)) at alpha = ALPHA_MAX: beta must exceed their sum."""
+    return lip.l_u**2 / ALPHA_MAX, 2 * lip.l_f / np.sqrt(ALPHA_MAX)
 
 
-def gamma_terms(lip: LipschitzConstants, alpha: float = ALPHA_MAX) -> tuple:
-    """(L_Z^2/alpha, 2 L_g/sqrt(alpha)): gamma must exceed their sum."""
-    return lip.l_z**2 / alpha, 2 * lip.l_g / np.sqrt(alpha)
+def gamma_terms(lip: LipschitzConstants) -> tuple:
+    """(L_Z^2/alpha, 2 L_g/sqrt(alpha)) at alpha = ALPHA_MAX: gamma must exceed their sum."""
+    return lip.l_z**2 / ALPHA_MAX, 2 * lip.l_g / np.sqrt(ALPHA_MAX)
 
 
 @dataclass(frozen=True)
 class ContractionConfig:
-    """Weight exponents and iteration limits for the fixed-point solver."""
+    """Weight exponents and iteration limits for the fixed-point solver, at alpha = ALPHA_MAX."""
 
     beta: float
     gamma: float
-    alpha: float
     lipschitz: LipschitzConstants
     max_iter: int = 40
     tol: float = 1e-9
@@ -75,45 +75,21 @@ class ContractionConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.beta <= beta_requirement(self.lipschitz, self.alpha):
-            raise BetaTooSmall(self.beta, beta_requirement(self.lipschitz, self.alpha))
-        if self.gamma <= sum(gamma_terms(self.lipschitz, self.alpha)):
-            raise ValueError("gamma below its Lipschitz threshold")
+        minimal = sum(beta_terms(self.lipschitz))
+        if self.beta <= minimal:
+            raise BetaTooSmall(self.beta, minimal)
+        if self.gamma <= sum(gamma_terms(self.lipschitz)):
+            raise ValueError(f"gamma = {float(self.gamma)!r} is not above its Lipschitz threshold")
 
 
-def select_contraction_parameters(
-    lip: LipschitzConstants,
-    beta: float,
-    max_iter: int = 40,
-    tol: float = 1e-9,
-) -> ContractionConfig:
-    """Pick the largest admissible alpha (bisection to 1e-9) and a valid gamma.
+def select_contraction_parameters(lip: LipschitzConstants, beta: float, max_iter: int = 40,
+                                  tol: float = 1e-9) -> ContractionConfig:
+    """The contraction config for ``beta``, with gamma one above the sum of ``gamma_terms``.
 
-    The admissibility threshold beta > L_U^2/alpha + 2 L_f/sqrt(alpha) is
-    monotone in alpha, so the feasible set is an interval reaching up to 1;
-    the returned alpha is its upper end capped just below 1.
+    Raises BetaTooSmall if beta is not above the sum of ``beta_terms``, and
+    ValueError if adding the one rounds back to that sum (possible from 2^53 on).
     """
-    minimal = lip.l_u**2 + 2 * lip.l_f
-    if beta <= minimal:
-        raise BetaTooSmall(beta, minimal)
-    # The threshold is decreasing in alpha, so bisect for the lower feasibility
-    # boundary and take the upper end of the feasible interval, capped below 1.
-    lo, hi = 1e-12, ALPHA_MAX
-    if beta <= beta_requirement(lip, hi):
-        raise BetaTooSmall(beta, beta_requirement(lip, hi))
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if beta > beta_requirement(lip, mid):
-            hi = mid
-        else:
-            lo = mid
-    alpha = ALPHA_MAX
-    gamma = sum(gamma_terms(lip, alpha)) + 1.0
-    return ContractionConfig(
-        beta=beta, gamma=gamma, alpha=alpha, lipschitz=lip, max_iter=max_iter, tol=tol
-    )
+    return ContractionConfig(beta, sum(gamma_terms(lip)) + 1.0, lip, max_iter=max_iter, tol=tol)
 
 
 def _zero_point(tree: ScenarioTree) -> RbsdeSolution:
@@ -131,7 +107,7 @@ def composite_distance(
     One that overflows is inf or nan, with no warning; the caller rejects it.
     """
     lip, b, g = cfg.lipschitz, cfg.beta, cfg.gamma
-    root_alpha = np.sqrt(cfg.alpha)
+    root_alpha = np.sqrt(ALPHA_MAX)
     dy = [t1.y[k] - t2.y[k] for k in range(tree.n_steps)]
     du = [t1.u[k] - t2.u[k] for k in range(tree.n_steps)]
     dz = [t1.z[k] - t2.z[k] for k in range(tree.n_steps)]
@@ -158,7 +134,7 @@ class PicardTrace:
 
     @property
     def late_ratios(self) -> list:
-        """The ratios d_{j+1}/d_j judged at alpha + RATE_SLACK: past the first, from d_j > 1e-12."""
+        """The ratios d_{j+1}/d_j judged at RATE_BOUND: past the first, from d_j > 1e-12."""
         d = self.distances
         return [d2 / d1 for d1, d2 in zip(d[1:], d[2:]) if d1 > 1e-12]
 

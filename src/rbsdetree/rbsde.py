@@ -223,7 +223,7 @@ def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution
     bound holds.
 
     One level and one path functional are alive at a time: each functional
-    is run forward to the leaves as ``tree.path_sum`` runs it and added into
+    is run forward to the leaves by ``tree.leaf_sum`` and added into
     the leaf value, in the order written above, before the next one starts;
     S is then taken back one level at a time and checked on the way.
     """
@@ -233,21 +233,15 @@ def a_priori_majorant(tree: ScenarioTree, gen: GeneratorSpec, sol: RbsdeSolution
     if has_f and beta <= 0:
         raise BetaZero("the f-term of the majorant needs beta > 0")
 
-    def to_leaves(increments) -> np.ndarray:
-        cum = np.zeros(1)
-        for k, inc in enumerate(increments):
-            cum = tree.repeat_to_children(cum + inc, k)
-        return cum
-
     s = np.abs(gen.xi)
     s *= np.exp(beta * a[-1] / 2)
     if has_f:
-        term = to_leaves(np.exp(beta * a[k + 1]) * gen.f_levels[k] ** 2 * tree.da[k] for k in range(n))
+        term = tree.leaf_sum(np.exp(beta * a[k + 1]) * gen.f_levels[k] ** 2 * tree.da[k] for k in range(n))
         np.sqrt(term, out=term)
         term /= np.sqrt(beta)
         s += term
         del term
-    s += to_leaves(np.exp(beta * a[k] / 2) * np.abs(gen.g_levels[k]) * tree.grid.steps[k] for k in range(n))
+    s += tree.leaf_sum(np.exp(beta * a[k] / 2) * np.abs(gen.g_levels[k]) * tree.grid.steps[k] for k in range(n))
     h_max = np.exp(beta * a[0] / 2) * np.abs(gen.h[0])
     for k in range(n):
         weighted = np.abs(gen.h[k + 1])

@@ -20,11 +20,12 @@ SUPPORT_TOL = 1e-12  # dK and R - eta above this count as positive
 def snell_envelope(tree: ScenarioTree, eta: NodeProcess) -> NodeProcess:
     """Smallest supermartingale dominating eta, by backward induction.
 
-    R_N = eta_N at the leaves and R_k = max(eta_k, E[R_{k+1} | node]).
+    R_N = eta_N at the leaves, as eta_N's own array where it is a float array,
+    and R_k = max(eta_k, E[R_{k+1} | node]).
     """
     n = tree.n_steps
     r = [None] * (n + 1)
-    r[n] = np.asarray(eta[n], dtype=float).copy()
+    r[n] = np.asarray(eta[n], dtype=float)
     for k in range(n - 1, -1, -1):
         r[k] = np.maximum(eta[k], cexp_level(tree, k, r[k + 1]))
     return r

@@ -23,7 +23,7 @@ from .instances import (
     state_levels,
     terminal_payoff,
 )
-from .picard import RATE_SLACK, LipschitzConstants, StateGenerators, picard_solve
+from .picard import RATE_BOUND, LipschitzConstants, StateGenerators, picard_solve
 from .picard import select_contraction_parameters
 from .rbsde import (
     EQUATION_TOL,
@@ -167,10 +167,9 @@ def criterion_picard(scale: str = "small"):
         ones = RbsdeSolution(*([np.ones_like(x) for x in process] for process in (sol.y, sol.u, sol.z)))
         other = picard_solve(tree, gen, state, cfg, init=ones).solution
         worst_gap = max([worst_gap] + [float(np.max(np.abs(a - b))) for a, b in zip(sol.y, other.y)])
-        bound = cfg.alpha + RATE_SLACK
-    ok = worst_ratio <= bound and worst_gap <= 1e-8 and max_iters <= 40
+    ok = worst_ratio <= RATE_BOUND and worst_gap <= 1e-8 and max_iters <= 40
     return ok, (
-        f"max ratio = {worst_ratio:.4f} (bound {bound:.4f}), max iters = {max_iters}, "
+        f"max ratio = {worst_ratio:.4f} (bound {RATE_BOUND:.4f}), max iters = {max_iters}, "
         f"init gap = {worst_gap:.3e} (tol 1e-8) over {n} instances"
     )
 

@@ -65,7 +65,7 @@ def cauchy_weight_bound(tree: ScenarioTree, f: NodeProcess, beta: float):
         raise BetaZero("the weighted bound requires beta > 0")
     a = tree.a_levels
     fs = [np.asarray(f[k], dtype=float) for k in range(tree.n_steps)]
-    lin = tree.path_sum(fs[k] * tree.da[k] for k in range(tree.n_steps))
-    wsq = tree.path_sum(np.exp(beta * a[k + 1]) * fs[k] ** 2 * tree.da[k] for k in range(tree.n_steps))
-    lhs, rhs = lin[-1] ** 2, wsq[-1] / beta
+    lin = tree.leaf_sum(fs[k] * tree.da[k] for k in range(tree.n_steps))
+    wsq = tree.leaf_sum(np.exp(beta * a[k + 1]) * fs[k] ** 2 * tree.da[k] for k in range(tree.n_steps))
+    lhs, rhs = lin**2, wsq / beta
     return float(np.max(lhs)), float(np.max(rhs)), float(np.max(lhs - rhs))

@@ -603,6 +603,24 @@ def test_the_oracle_verb_solves_for_y0_alone(tmp_path):
     assert summary["gap"] > 0 and not summary["all_passed"]
 
 
+@pytest.mark.parametrize("verb", ["solve", "norms", "oracle"])
+def test_a_step_whose_no_jump_branches_are_null_runs_without_warning(tmp_path, verb):
+    """At ``compensator.rate: 40`` on a unit step the no-jump probability rounds to 0; the jump
+    integrand is measured from the conditional mean, so nothing is divided by that 0."""
+    raw = yaml.safe_load((CONFIGS / "reflected_binomial.yaml").read_text())
+    raw["compensator"]["rate"] = 40
+    path = _write(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([verb, "--config", path, "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["all_passed"]
+    if verb == "oracle":
+        assert summary["gap"] == 0.0
+    else:
+        assert summary["norms"]["U_p"] == 0.0
+
+
 @pytest.fixture(scope="module")
 def picard_six_steps():
     """``picard_affine.yaml`` at 6 steps (46,656 leaves), solved: (tree, sol, spec, beta)."""
@@ -619,14 +637,16 @@ def picard_six_steps():
         (lambda tree, sol, spec, beta: cli.run_checks(tree, sol, spec, beta), 5.0),
         (lambda tree, sol, spec, beta: cli.a_priori_majorant(tree, spec, sol, beta), 4.0),
         (lambda tree, sol, spec, beta: cli.check_equation_residual(tree, sol, spec), 3.0),
+        (lambda tree, sol, spec, beta: cli.solve_via_snell(tree, spec), 3.5),
     ],
-    ids=["run_checks", "a_priori_majorant", "check_equation_residual"],
+    ids=["run_checks", "a_priori_majorant", "check_equation_residual", "solve_via_snell"],
 )
 def test_a_check_holds_few_leaf_sized_arrays_at_once(picard_six_steps, check, bound):
     """The traced peak above the memory live at the call, in arrays of one float per leaf.
 
     The majorant keeps one level of one path functional at a time, the equation residual one
-    (n_k, b) buffer and one term, and ``run_checks`` runs the majorant before the envelope route.
+    (n_k, b) buffer and one term, and ``run_checks`` runs the majorant before the envelope route,
+    whose envelope R_N is eta_N's own array.
     """
     tree, sol, spec, beta = picard_six_steps
     tracemalloc.start()

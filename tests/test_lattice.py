@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,27 @@ def test_representation_orthogonality():
     for e in range(tree.n_marks):
         recon = recon + rep.u[0, e] * ((mark == e).astype(float) - q[e])
     assert np.allclose(recon, v, atol=1e-12)
+
+
+def test_a_level_whose_no_jump_branches_are_null_is_represented_orthogonally():
+    """At dA = 40 the no-jump probability 1 - (1 - e^-40) rounds to 0: u is measured from the
+    conditional mean, finite, and the residual stays orthogonal to dW and each 1_e - q_e."""
+    tree = build_tree(TimeGrid.uniform(2, 2.0), MarkSet(("a", "b")), CompensatorSpec.linear(40.0, [0.6, 0.4]))
+    assert np.all(tree.jump_prob == 1.0)
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in range(tree.n_steps):
+            v = rng.normal(size=tree.level_size(k + 1))
+            rep = extract_representation(tree, k, v)
+            assert all(np.all(np.isfinite(x)) for x in (rep.mean, rep.z, rep.u, rep.residual))
+            res = _branch_residual(tree, k, v, rep)
+            p, q = tree.branch_prob[k], tree.jump_prob[k] * tree.phi[k]
+            assert np.max(np.abs(res @ p)) <= 1e-12
+            assert np.max(np.abs(res @ (p * tree.branch_dw[k]))) <= 1e-12
+            for e in range(tree.n_marks):
+                dq = (tree.branch_mark[k] == e).astype(float) - q[e]
+                assert np.max(np.abs(res @ (p * dq))) <= 1e-12
 
 
 def test_representation_exact_for_spanned_payoff():

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,10 +21,14 @@ from rbsdetree import (
     select_contraction_parameters,
     solve_given_generators,
 )
+from rbsdetree.cli import build_problem, parse_config
+from rbsdetree.errors import ConfigInvalid
 from rbsdetree.instances import random_picard_instance
-from rbsdetree.picard import ALPHA_MAX, _frozen_spec, _zero_point
+from rbsdetree.picard import ALPHA_MAX, _frozen_spec, _zero_point, beta_terms, gamma_terms
 from rbsdetree.verify import fixture_linear_fixed_point
 from test_properties import problems
+
+PICARD_AFFINE = Path(__file__).resolve().parents[1] / "configs" / "picard_affine.yaml"
 
 
 def test_config_rejects_small_beta():
@@ -32,24 +38,21 @@ def test_config_rejects_small_beta():
         select_contraction_parameters(lip, beta=minimal)
     assert exc.value.minimal == pytest.approx(minimal)
     with pytest.raises(BetaTooSmall):
-        ContractionConfig(beta=minimal, gamma=10.0, alpha=0.99, lipschitz=lip)
+        ContractionConfig(beta=minimal, gamma=10.0, lipschitz=lip)
 
 
 def test_config_rejects_small_gamma():
     lip = LipschitzConstants(l_f=0.1, l_u=0.1, l_g=0.5, l_z=0.5)
     with pytest.raises(ValueError):
-        ContractionConfig(beta=5.0, gamma=0.0, alpha=0.9, lipschitz=lip)
-    with pytest.raises(ValueError):
-        ContractionConfig(beta=5.0, gamma=5.0, alpha=1.5, lipschitz=lip)
+        ContractionConfig(beta=5.0, gamma=0.0, lipschitz=lip)
 
 
 def test_selected_parameters_admissible():
     lip = LipschitzConstants(l_f=0.3, l_u=0.4, l_g=0.2, l_z=0.5)
     beta = lip.l_u**2 + 2 * lip.l_f + 0.5
     cfg = select_contraction_parameters(lip, beta)
-    assert cfg.alpha == pytest.approx(ALPHA_MAX)
-    assert cfg.beta > lip.l_u**2 / cfg.alpha + 2 * lip.l_f / np.sqrt(cfg.alpha)
-    assert cfg.gamma > lip.l_z**2 / cfg.alpha + 2 * lip.l_g / np.sqrt(cfg.alpha)
+    assert cfg.beta > lip.l_u**2 / ALPHA_MAX + 2 * lip.l_f / np.sqrt(ALPHA_MAX)
+    assert cfg.gamma > lip.l_z**2 / ALPHA_MAX + 2 * lip.l_g / np.sqrt(ALPHA_MAX)
 
 
 def test_linear_fixed_point():
@@ -70,7 +73,7 @@ def test_contraction_rate_and_init_independence():
         trace = picard_solve(tree, gen, state, cfg)
         for d1, d2 in zip(trace.distances[1:], trace.distances[2:]):
             if d1 > 1e-12:
-                assert d2 / d1 <= cfg.alpha + 0.05
+                assert d2 / d1 <= ALPHA_MAX + 0.05
         ones = RbsdeSolution(
             y=[np.ones(tree.level_size(k)) for k in range(tree.n_steps + 1)],
             u=[np.ones((tree.level_size(k), tree.n_marks)) for k in range(tree.n_steps)],
@@ -97,7 +100,7 @@ def test_no_convergence_raises_with_trace():
 def test_config_rejects_max_iter_below_one(max_iter):
     lip = LipschitzConstants(l_f=0.1, l_u=0.1)
     with pytest.raises(ValueError, match="max_iter"):
-        ContractionConfig(beta=5.0, gamma=1.0, alpha=0.9, lipschitz=lip, max_iter=max_iter)
+        ContractionConfig(beta=5.0, gamma=1.0, lipschitz=lip, max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter"):
         select_contraction_parameters(lip, beta=5.0, max_iter=max_iter)
 
@@ -141,7 +144,83 @@ def test_feasibility_monotone_in_beta():
     minimal = lip.l_u**2 + 2 * lip.l_f
     for beta in np.linspace(minimal + 0.01, minimal + 5.0, 20):
         cfg = select_contraction_parameters(lip, float(beta))
-        assert 0 < cfg.alpha < 1
+        assert cfg.beta == beta and cfg.gamma > sum(gamma_terms(lip))
+
+
+LIPSCHITZ = st.builds(
+    LipschitzConstants,
+    *(st.one_of(st.just(0.0), st.floats(0.0, bound)) for bound in (1e6, 1e6, 1e20, 1e10)),
+)
+
+
+def _ulps(x: float, n: int) -> float:
+    """``x`` moved ``n`` floats up (down for negative ``n``)."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, np.inf if n > 0 else -np.inf))
+    return x
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lip=LIPSCHITZ, data=st.data())
+def test_the_rule_rejects_beta_at_its_threshold_and_gamma_that_loses_the_one(lip, data):
+    """BetaTooSmall exactly when beta <= sum(beta_terms); then gamma clears sum(gamma_terms),
+    or ValueError is raised where adding one rounds back to that sum, which needs 2^53 or more."""
+    minimal = sum(beta_terms(lip))
+    beta = data.draw(st.one_of(st.floats(0.0, 1e7), st.integers(-3, 3).map(lambda n: _ulps(minimal, n))))
+    if beta <= minimal:
+        with pytest.raises(BetaTooSmall):
+            select_contraction_parameters(lip, beta)
+        return
+    threshold = sum(gamma_terms(lip))
+    if threshold + 1.0 == threshold:
+        assert threshold >= 2.0**53
+        with pytest.raises(ValueError, match="gamma = .* is not above its Lipschitz threshold"):
+            select_contraction_parameters(lip, beta)
+    else:
+        cfg = select_contraction_parameters(lip, beta)
+        assert cfg.beta == beta and cfg.gamma > threshold
+
+
+@st.composite
+def kernels(draw, m):
+    """A probability vector over ``m`` marks whose sum is 1 to within the 1e-12 the loader allows."""
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    return [float(x) for x in weights / weights.sum() * (1.0 + draw(st.floats(-9e-13, 9e-13)))]
+
+
+@st.composite
+def affine_configs(draw):
+    """``picard_affine.yaml`` on a 2-step grid with random fa, fb, fc and mark kernels."""
+    raw = yaml.safe_load(PICARD_AFFINE.read_text())
+    m = draw(st.integers(1, 3))
+    coefficient = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))  # equal |fc|: the norm is max|fc|
+    raw["marks"] = [f"e{i}" for i in range(m)]
+    raw["grid"]["n_steps"] = 2
+    if draw(st.booleans()):
+        raw["compensator"] = {"type": "linear", "rate": 0.8, "phi": draw(kernels(m))}
+    else:  # the second kernel starts at the second step
+        raw["compensator"] = {"type": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 0.4, 0.8],
+                              "phi_rows": [draw(kernels(m)) for _ in range(3)]}
+    raw["generator"].update(fa=draw(coefficient), fb=draw(coefficient),
+                            fc=draw(st.lists(coefficient, min_size=m, max_size=m)))
+    return raw
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(raw=affine_configs())
+def test_a_beta_that_loads_passes_the_rule_with_the_constants_of_affine_generators(raw):
+    """Betas a few floats either side of the rule's threshold for ``affine_generators``' constants:
+    each one the loader accepts, the rule accepts."""
+    _, _, state = build_problem(parse_config({**raw, "beta": 100.0}))
+    minimal = sum(beta_terms(state.lipschitz))
+    for n in range(-3, 4):
+        beta = _ulps(minimal, n)
+        try:
+            parse_config({**raw, "beta": beta})
+        except ConfigInvalid as exc:
+            assert exc.field == "beta"
+            continue
+        select_contraction_parameters(state.lipschitz, beta)
 
 
 def test_composite_distance_triangle_inequality():

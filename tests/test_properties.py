@@ -69,6 +69,7 @@ def test_path_sum_is_the_sum_along_ancestors(tree, seed):
         for k in range(level):
             expected = expected + increments[k][tree.ancestor_index(k, level)]
         assert np.array_equal(cum[level], expected)
+    assert tree.leaf_sum(increments).tobytes() == cum[-1].tobytes()
 
 
 @SETTINGS
