@@ -10,8 +10,8 @@ import numpy as np
 # Kept as a plain constant: perfbench/run.py:269 reads it into its host record.
 USE_NUMBA = False
 
-#: Paths drawn per batch in simulate_event_counts; bounds the draw buffer.
-SIMULATION_CHUNK = 256
+#: Uniforms per batch in simulate_event_counts (one path's, if more); the counts do not depend on it.
+SIMULATION_DRAWS = 1 << 16
 
 
 #: Free mask bits per block: a block values the 2^BLOCK_BITS consecutive masks
@@ -123,14 +123,12 @@ def _block_table(entry, top, n_top, n_free):
 
 
 def simulate_event_counts(p_event, n_paths, seed):
-    """Total event count per simulated path, drawn in fixed-size batches."""
+    """Total event count per simulated path, drawn in order in batches of whole paths."""
     p_event = np.ascontiguousarray(p_event, dtype=np.float64)
     rng = np.random.default_rng(seed)
     out = np.empty(n_paths, dtype=np.int64)
-    done = 0
-    while done < n_paths:
-        size = min(SIMULATION_CHUNK, n_paths - done)
-        draws = rng.random((size, len(p_event)))
-        out[done:done + size] = (draws < p_event[None, :]).sum(axis=1)
-        done += size
+    batch = max(SIMULATION_DRAWS // max(len(p_event), 1), 1)
+    for lo in range(0, n_paths, batch):
+        draws = rng.random((min(batch, n_paths - lo), len(p_event)))
+        out[lo:lo + len(draws)] = (draws < p_event).sum(axis=1)
     return out

@@ -9,7 +9,7 @@ most one event, occurring with probability 1 - exp(-dA_k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,83 +33,78 @@ class MarkSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompensatorSpec:
-    """Cumulative compensator A(t) and mark kernel phi(t) on a finite mark set.
+    """Cumulative compensator A and mark kernel phi on a finite mark set, held as data.
 
-    ``a_fn`` maps time to the cumulative compensator value (A(0) = 0,
-    nondecreasing).  ``phi_fn`` maps time to a probability vector over marks,
-    one of the rows of ``kernels``.
+    A(t) = ``rate`` * t, or, without a rate, A is piecewise linear through
+    (``breakpoints``, ``values``) from A(0) = 0.  ``kernels`` holds probability
+    vectors over the marks: one row with a rate, else one per breakpoint, the
+    kernel at time t being the row of the last breakpoint <= t.  Every field
+    is checked once, on construction; equality is identity.
     """
 
-    a_fn: Callable[[float], float]
-    phi_fn: Callable[[float], np.ndarray]
     kernels: np.ndarray
+    rate: Optional[float] = None
+    breakpoints: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if (self.rate is None) == (self.breakpoints is None):
+            raise ValueError("need either a rate or breakpoints and values")
+        if self.rate is not None and self.rate < 0:
+            raise NonMonotoneCompensator(f"negative rate {self.rate}")
+        if self.rate is None:
+            bp, vals = np.asarray(self.breakpoints, dtype=float), np.asarray(self.values, dtype=float)
+            if bp.ndim != 1 or bp.shape != vals.shape or len(bp) < 2:
+                raise ValueError("breakpoints and values must be 1-d of equal length >= 2")
+            if bp[0] != 0.0 or vals[0] != 0.0:
+                raise ValueError("compensator must start at A(0) = 0")
+            if np.any(np.diff(bp) <= 0):
+                raise ValueError("breakpoints must be strictly increasing")
+            if np.any(np.diff(vals) < 0):
+                raise NonMonotoneCompensator("piecewise values decrease")
+            object.__setattr__(self, "breakpoints", bp)
+            object.__setattr__(self, "values", vals)
+        kernels = np.asarray(self.kernels, dtype=float)
+        if kernels.ndim != 2 or len(kernels) != (1 if self.rate is not None else len(self.breakpoints)):
+            raise ValueError("need one kernel row per breakpoint, or one row with a rate")
+        bad = ~(np.all(kernels >= 0, axis=1) & (np.abs(kernels.sum(axis=1) - 1.0) <= 1e-12))
+        if np.any(bad):
+            raise ValueError(f"mark kernel must be a probability vector, got {kernels[np.argmax(bad)]}")
+        object.__setattr__(self, "kernels", kernels)
 
     @staticmethod
     def linear(rate: float, phi: Sequence[float]) -> "CompensatorSpec":
         """A(t) = rate * t with a time-constant mark kernel."""
-        if rate < 0:
-            raise NonMonotoneCompensator(f"negative rate {rate}")
-        p = _check_kernel(np.asarray(phi, dtype=float))
-        return CompensatorSpec(lambda t: rate * t, lambda t: p, p[None, :])
+        return CompensatorSpec([phi], rate=rate)
 
     @staticmethod
-    def piecewise(
-        breakpoints: Sequence[float],
-        values: Sequence[float],
-        phi_rows: Sequence[Sequence[float]],
-    ) -> "CompensatorSpec":
+    def piecewise(breakpoints: Sequence[float], values: Sequence[float],
+                  phi_rows: Sequence[Sequence[float]]) -> "CompensatorSpec":
         """Piecewise-linear A through (breakpoints, values); kernel per segment.
 
         ``phi_rows`` holds one probability vector per breakpoint; the kernel at
         time t is the row of the last breakpoint <= t.
         """
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        if bp.ndim != 1 or bp.shape != vals.shape or len(bp) < 2:
-            raise ValueError("breakpoints and values must be 1-d of equal length >= 2")
-        if bp[0] != 0.0 or vals[0] != 0.0:
-            raise ValueError("compensator must start at A(0) = 0")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(np.diff(vals) < 0):
-            raise NonMonotoneCompensator("piecewise values decrease")
-        rows = np.asarray(phi_rows, dtype=float)
-        if rows.shape[0] != len(bp):
-            raise ValueError("need one kernel row per breakpoint")
-        for r in rows:
-            _check_kernel(r)
-
-        def a_fn(t: float) -> float:
-            return float(np.interp(t, bp, vals))
-
-        def phi_fn(t: float) -> np.ndarray:
-            i = int(np.searchsorted(bp, t, side="right")) - 1
-            return rows[max(i, 0)]
-
-        return CompensatorSpec(a_fn, phi_fn, rows)
+        return CompensatorSpec(phi_rows, breakpoints=breakpoints, values=values)
 
     def increments(self, times: np.ndarray) -> np.ndarray:
         """Compensator increments over the grid steps; raises on decrease."""
-        a = np.array([self.a_fn(t) for t in times], dtype=float)
+        times = np.asarray(times, dtype=float)
+        a = self.rate * times if self.rate is not None else np.interp(times, self.breakpoints, self.values)
         da = np.diff(a)
         if np.any(da < 0) or not np.all(np.isfinite(da)):
             raise NonMonotoneCompensator(f"negative or non-finite increment in {da}")
         return da
 
     def kernel_on_grid(self, times: np.ndarray, n_marks: int) -> np.ndarray:
-        """Kernel evaluated at the left endpoint of each step, shape (N, m)."""
-        rows = np.empty((len(times) - 1, n_marks))
-        for k, t in enumerate(times[:-1]):
-            rows[k] = _check_kernel(np.asarray(self.phi_fn(t), dtype=float))
-        return rows
-
-
-def _check_kernel(p: np.ndarray) -> np.ndarray:
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"mark kernel must be a probability vector, got {p}")
-    return p
+        """Kernel at the left endpoint of each step, shape (N, m); before the first breakpoint, the first row."""
+        if self.kernels.shape[1] != n_marks:
+            raise ValueError(f"the kernel has {self.kernels.shape[1]} marks, not {n_marks}")
+        left = np.asarray(times, dtype=float)[:-1]
+        rows = 0 if self.rate is not None else np.searchsorted(self.breakpoints, left, side="right") - 1
+        return self.kernels[np.broadcast_to(np.maximum(rows, 0), left.shape)]
 
 
 @dataclass(frozen=True)
@@ -131,19 +126,18 @@ def simulate_path(spec: CompensatorSpec, marks: MarkSet, grid, seed: int) -> Mpp
     """Draw one path: per step an event with probability 1 - exp(-dA_k).
 
     Event times are reported at the right endpoint of their step; marks are
-    drawn from the kernel at the left endpoint.  Deterministic given the seed.
+    drawn from the kernel at the left endpoint, one draw per event in step
+    order after the step uniforms.  Deterministic given the seed.
     """
     rng = np.random.default_rng(seed)
     times = grid.times
-    da = spec.increments(times)
-    p_event = -np.expm1(-da)
-    uniforms = rng.random(len(da))
+    p_event = -np.expm1(-spec.increments(times))
+    phi = spec.kernel_on_grid(times, marks.size)
+    uniforms = rng.random(len(p_event))
     events = []
-    for k, (u, p) in enumerate(zip(uniforms, p_event)):
-        if u < p:
-            phi = spec.phi_fn(times[k])
-            e = rng.choice(marks.size, p=phi)
-            events.append((float(times[k + 1]), marks.labels[int(e)]))
+    for k in np.flatnonzero(uniforms < p_event):
+        e = rng.choice(marks.size, p=phi[k])
+        events.append((float(times[k + 1]), marks.labels[int(e)]))
     return MppPath(events=tuple(events), horizon=float(times[-1]))
 
 
@@ -151,9 +145,5 @@ def counting_process(path: MppPath, grid) -> np.ndarray:
     """Number of events up to each grid time, shape (N+1,), N_0 = 0."""
     if abs(path.horizon - grid.horizon) > 1e-12:
         raise ValueError("path horizon does not match grid horizon")
-    event_times = np.array([t for t, _ in path.events])
-    out = np.zeros(len(grid.times), dtype=np.int64)
-    for i, t in enumerate(grid.times):
-        out[i] = int(np.count_nonzero(event_times <= t + 1e-15))
-    return out
-
+    event_times = np.array([t for t, _ in path.events], dtype=float)  # increasing, as MppPath checks
+    return np.searchsorted(event_times, grid.times + 1e-15, side="right")

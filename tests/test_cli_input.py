@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 import warnings
 
 import numpy as np
@@ -374,3 +375,32 @@ def test_a_picard_beta_that_parses_passes_the_contraction_check(tmp_path, capsys
         assert err.startswith("config error: beta: picard mode needs beta > ") and "0.4100000000041" in err
         assert "np.float64" not in err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["mpp_only", "picard_affine", "reflected_binomial"])
+@pytest.mark.parametrize(
+    "changes, fieldname",
+    [
+        ({"grid": {"n_steps": 1e300}}, "grid.n_steps"),  # past the ceiling alone
+        ({"simulate": {"n_paths": 1e300}}, "simulate.n_paths"),
+        ({"grid": {"n_steps": 1e6}}, "simulate.n_paths"),  # 10^6 steps times every configured path
+    ],
+    ids=["steps-1e300", "paths-1e300", "steps-1e6"],
+)
+def test_simulate_past_its_draw_ceiling_exits_2_naming_the_field_at_once(tmp_path, capsys, name, changes,
+                                                                          fieldname):
+    config = _write(tmp_path, _shipped(name, **changes))
+    start = time.perf_counter()
+    code = main(["simulate", "--config", config, "--out", str(tmp_path / "run")])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"config error: {fieldname}: ") and "ceiling" in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def test_simulate_draws_up_to_its_ceiling(tmp_path, monkeypatch):
+    """The ceiling is on n_paths * n_steps: the largest product passes, one more path does not."""
+    monkeypatch.setattr(cli, "SIMULATE_DRAW_CAP", 4 * 5000)
+    for n_paths, code in (5000, 0), (5001, 2):
+        config = _write(tmp_path, _shipped("mpp_only", simulate={"n_paths": n_paths}))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "run")]) == code

@@ -222,3 +222,12 @@ def test_simulation_deterministic_for_fixed_seed():
     a = _kernels.simulate_event_counts(p, 1000, 5)
     b = _kernels.simulate_event_counts(p, 1000, 5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("draws", [1, 6, 7, 8, 20, 1 << 16])
+def test_simulated_counts_do_not_depend_on_the_batch_size(monkeypatch, draws):
+    """Batches of whole paths read one stream in order: the counts of one unbatched draw."""
+    p = np.linspace(0.05, 0.9, 7)
+    monkeypatch.setattr(_kernels, "SIMULATION_DRAWS", draws)
+    counts = _kernels.simulate_event_counts(p, 50, 3)
+    assert np.array_equal(counts, (np.random.default_rng(3).random((50, 7)) < p).sum(axis=1))
